@@ -116,6 +116,8 @@ def load_caps(config_path: "str | None", args: argparse.Namespace) -> Caps:
         override = getattr(args, key, None)
         if override is not None:
             setattr(caps, key, override)
+        if getattr(caps, key) < 1:
+            raise CliParseError(f"{key} must be at least 1, got {getattr(caps, key)}")
     return caps
 
 

@@ -6,11 +6,12 @@ g3 | g1 | x^n - 1 mod 2.  Enumeration closes the cyclic shifts of the
 generators under addition and all 16 scalar multiples, so it computes the
 full ideal with no structural assumptions.
 
-Codewords are length-n tuples of ring elements.  Internally a word is packed
-into an integer, one byte per coordinate (high nibble a, low nibble b,
-coordinate 0 in the most significant byte) so that vector addition is a
-single masked integer addition and sorting packed words is the
-lexicographic order on (a, b) pairs.
+Codewords are length-n tuples of ring elements in the library API.  Every
+analysis works on the packed form instead: one byte per coordinate (high
+nibble a, low nibble b, coordinate 0 in the most significant byte), so that
+vector addition is a single masked integer addition, sorting packed words is
+the lexicographic order on (a, b) pairs, and each word transform below is a
+C-level operation or two on the integer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .polynomials import PolyR, PolyZ4
-from .ring import ALL_ELEMENTS, ONE_PLUS_U, RingElement
+from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, RingElement
 
 Codeword = tuple[RingElement, ...]
 
@@ -47,8 +48,7 @@ for _s in ALL_ELEMENTS:
         _table[(_e.a << 4) | _e.b] = (_p.a << 4) | _p.b
     _SCALAR_TABLES[(_s.a, _s.b)] = bytes(_table)
 
-#: Coordinate bytes of the multiples of 1+u (equal nibbles).
-_ONE_PLUS_U_BYTES = frozenset((t << 4) | t for t in range(4))
+_THETA_LETTERS = str.maketrans("0123", NUCLEOTIDES)
 
 
 def encode_word(word: Codeword) -> int:
@@ -81,6 +81,39 @@ def _scalar_mul_packed(scalar: RingElement, packed: int, n: int) -> int:
 
 def _word_weight(packed: int, n: int) -> int:
     return sum(1 for byte in packed.to_bytes(n, "big") if byte)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_byte(byte: int, n: int) -> int:
+    """The packed length-n word whose coordinate bytes all equal byte."""
+    return int.from_bytes(bytes([byte]) * n, "big")
+
+
+def reverse_packed(packed: int, n: int) -> int:
+    return int.from_bytes(packed.to_bytes(n, "big")[::-1], "big")
+
+
+def reverse_complement_packed(packed: int, n: int) -> int:
+    """The reversed word of coordinatewise complements (1+u) - x; on each
+    Z4 digit 1 - d (mod 4) is d ^ 1."""
+    return reverse_packed(packed ^ _every_byte(0x11, n), n)
+
+
+def theta_packed(packed: int, n: int) -> str:
+    """The theta image: each hex digit is one Z4 digit, mapped to its letter."""
+    return packed.to_bytes(n, "big").hex().translate(_THETA_LETTERS)
+
+
+def gc_count_packed(packed: int, n: int) -> int:
+    """GC count of the theta (equally, phi) image: G and C are the digits
+    2 and 3, exactly those with bit 1 set."""
+    return (packed & _every_byte(0x22, n)).bit_count()
+
+
+def is_one_plus_u_multiple_packed(packed: int, n: int) -> bool:
+    """Every coordinate a + ub has a == b, i.e. lies in the ideal (1+u)."""
+    low = _every_byte(0x0F, n)
+    return (packed >> 4) & low == packed & low
 
 
 @dataclass(frozen=True)
@@ -180,7 +213,7 @@ class Code:
                     seeds.add(_scalar_mul_packed(scalar, packed, n))
                 packed = _rotate(packed, n)
         seeds.discard(0)
-        mask = int.from_bytes(bytes([_ADD_NIBBLE_MASK]) * n, "big")
+        mask = _every_byte(_ADD_NIBBLE_MASK, n)
         words = {0}
         frontier = [0]
         seed_list = sorted(seeds)
@@ -253,11 +286,7 @@ class Code:
     def subcode_one_plus_u(self) -> "Code":
         """The subcode of words that are multiples of 1+u, i.e. words whose
         every coordinate lies in the ideal generated by 1+u."""
-        kept = [
-            w
-            for w in self.packed
-            if all(byte in _ONE_PLUS_U_BYTES for byte in w.to_bytes(self.n, "big"))
-        ]
+        kept = [w for w in self.packed if is_one_plus_u_multiple_packed(w, self.n)]
         return Code(self.n, kept, spec=None)
 
     # -- independent closure checks ---------------------------------------------
@@ -276,7 +305,7 @@ class Code:
         """True iff the word set equals the additive group it generates."""
         if 0 not in self._packed_set:
             return False
-        mask = int.from_bytes(bytes([_ADD_NIBBLE_MASK]) * self.n, "big")
+        mask = _every_byte(_ADD_NIBBLE_MASK, self.n)
         group = {0}
         for w in self.packed:
             if w in group:

@@ -2,9 +2,15 @@
 
 Two independent sources of truth are kept side by side: brute-force verdicts
 computed directly on the enumerated word set, and polynomial condition checks
-on the generators.  Every checker returns both plus an agreement flag, so a
-divergence between the generator conditions and the enumerated reality is
-recorded rather than hidden.
+on the generators.  One checker builds the conditions for either arity, before
+any enumeration, and returns them with the brute-force verdict and an
+agreement flag, so a divergence between the generator conditions and the
+enumerated reality is recorded rather than hidden.  reversible_check,
+reverse_complement_check and their four arity-specific forms all call it.
+
+The oracles and the GC spectrum run on packed words through the transforms
+in codes; the tuple transforms here (reverse_word, theta_image, ...) serve
+the library API and are the tests' independent reference for them.
 
 DNA images: theta maps each coordinate to its 2-letter codon and
 concatenates (length 2n); phi writes all a-digits then all b-digits as
@@ -16,7 +22,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .codes import Code, CodeSpec, Codeword, DEFAULT_ENUMERATION_CAP, SpecError, constant_word
+from .codes import (
+    Code,
+    CodeSpec,
+    Codeword,
+    DEFAULT_ENUMERATION_CAP,
+    SpecError,
+    constant_word,
+    gc_count_packed,
+    reverse_complement_packed,
+    reverse_packed,
+)
 from .polynomials import PolyR
 from .ring import NUCLEOTIDES, NUCLEOTIDE_COMPLEMENT, RingElement
 
@@ -70,9 +86,14 @@ def gc_content(strand: str) -> int:
 
 
 def gc_spectrum(code: Code, image: str = "theta") -> dict[int, int]:
-    """Multiplicity of each GC count over the code's DNA images."""
-    image_map = IMAGE_MAPS[image]
-    counts = Counter(gc_content(image_map(w)) for w in code.codewords)
+    """Multiplicity of each GC count over the code's DNA images.
+
+    theta and phi images hold the same letters, so both spectra are the
+    packed GC count's.
+    """
+    if image not in IMAGE_MAPS:
+        raise KeyError(image)
+    counts = Counter(gc_count_packed(w, code.n) for w in code.packed)
     return dict(sorted(counts.items()))
 
 
@@ -80,11 +101,11 @@ def gc_spectrum(code: Code, image: str = "theta") -> dict[int, int]:
 
 
 def is_reversible_bruteforce(code: Code) -> bool:
-    return all(reverse_word(w) in code for w in code.codewords)
+    return all(reverse_packed(w, code.n) in code for w in code.packed)
 
 
 def is_rc_closed_bruteforce(code: Code) -> bool:
-    return all(reverse_complement_word(w) in code for w in code.codewords)
+    return all(reverse_complement_packed(w, code.n) in code for w in code.packed)
 
 
 def rc_closed_without_fixed_points(words) -> bool:
@@ -127,185 +148,85 @@ class ConditionReport:
         }
 
 
-def _single_generator_conditions(spec: CodeSpec):
-    """Shared conditions for the single-generator checkers."""
-    g1, g2 = spec.g1, spec.g2
-    witness = g1.self_reciprocal_witness()
-    conditions = {"g1_self_reciprocal": witness is not None}
-    witnesses: dict = {}
-    if witness is not None:
-        witnesses["g1_reciprocal_unit"] = witness
-    if g2.is_zero:
-        conditions["g2_shift_reciprocal_equals_g2"] = True
-        conditions["g2_shift_reciprocal_equals_g2_mod_fold"] = True
-        conditions["g1_equals_shift_reciprocal_plus_g2"] = False
-        return conditions, witnesses
-    gap = g1.degree - g2.degree
-    if gap < 0:
-        raise SpecError(
-            f"checker requires deg g2 <= deg g1 (got {g2.degree} > {g1.degree})"
-        )
-    witnesses["degree_gap"] = gap
-    shifted = PolyR.monomial(gap) * g2.reciprocal()
-    conditions["g2_shift_reciprocal_equals_g2"] = shifted == g2
-    conditions["g2_shift_reciprocal_equals_g2_mod_fold"] = shifted.mod_xn_minus_1(
-        spec.n
-    ) == g2.mod_xn_minus_1(spec.n)
-    conditions["g1_equals_shift_reciprocal_plus_g2"] = (
-        g1.to_ring_poly() == shifted + g2
-    )
-    return conditions, witnesses
+def _generator_conditions(spec: CodeSpec):
+    """The generator conditions in report order, their witnesses, and the
+    verdict they imply for reversibility.
 
-
-def _pair_generator_conditions(spec: CodeSpec):
-    """Shared conditions for the two-generator checkers."""
+    Single generator: g1 self reciprocal, and either x^gap * reciprocal(g2)
+    = g2 (evaluated literally; the variant folded mod x^n - 1 is reported
+    alongside) or g1 = x^gap * reciprocal(g2) + g2.  Two generators: g1 and
+    g3 self reciprocal, and g3 divides x^gap * reciprocal(g2) - g2 in R[x].
+    Here gap = deg g1 - deg g2, and a zero g2 satisfies the g2 conditions.
+    """
     g1, g2, g3 = spec.g1, spec.g2, spec.g3
-    w1 = g1.self_reciprocal_witness()
-    w3 = g3.self_reciprocal_witness()
-    conditions = {
-        "g1_self_reciprocal": w1 is not None,
-        "g3_self_reciprocal": w3 is not None,
-    }
+    conditions: dict[str, bool] = {}
     witnesses: dict = {}
-    if w1 is not None:
-        witnesses["g1_reciprocal_unit"] = w1
-    if w3 is not None:
-        witnesses["g3_reciprocal_unit"] = w3
-    if g2.is_zero:
-        conditions["g3_divides_shift_reciprocal_minus_g2"] = True
-        return conditions, witnesses
-    gap = g1.degree - g2.degree
-    if gap < 0:
+    for name, g in (("g1", g1), ("g3", g3)):
+        if g is not None:
+            unit = g.self_reciprocal_witness()
+            conditions[f"{name}_self_reciprocal"] = unit is not None
+            if unit is not None:
+                witnesses[f"{name}_reciprocal_unit"] = unit
+    reciprocal = all(conditions.values())
+    shifted = None
+    if not g2.is_zero:
+        gap = g1.degree - g2.degree
+        if gap < 0:
+            raise SpecError(
+                f"checker requires deg g2 <= deg g1 (got {g2.degree} > {g1.degree})"
+            )
+        witnesses["degree_gap"] = gap
+        shifted = PolyR.monomial(gap) * g2.reciprocal()
+    if g3 is None:
+        fixed = shifted is None or shifted == g2
+        conditions["g2_shift_reciprocal_equals_g2"] = fixed
+        conditions["g2_shift_reciprocal_equals_g2_mod_fold"] = (
+            shifted is None
+            or shifted.mod_xn_minus_1(spec.n) == g2.mod_xn_minus_1(spec.n)
+        )
+        summed = shifted is not None and g1.to_ring_poly() == shifted + g2
+        conditions["g1_equals_shift_reciprocal_plus_g2"] = summed
+        g2_holds = fixed or summed
+    else:
+        g2_holds = True
+        if shifted is not None:
+            quotient, remainder = (shifted - g2).divmod_monic(g3.to_ring_poly())
+            g2_holds = remainder.is_zero
+            if g2_holds:
+                witnesses["division_quotient"] = quotient
+        conditions["g3_divides_shift_reciprocal_minus_g2"] = g2_holds
+    return conditions, witnesses, reciprocal and g2_holds
+
+
+def _check(
+    spec: CodeSpec, code: "Code | None", cap: int, rc: bool, single: "bool | None" = None
+) -> ConditionReport:
+    """The one checker: generator conditions first, then the enumerated code
+    (built only when not given) for the membership condition and brute force.
+
+    rc adds membership of the constant word with every coordinate 3*(1+u)
+    to the reversibility conditions.  single, when given, requires that arity.
+    """
+    spec.require_valid()
+    if single is not None and single != spec.is_single_generator:
         raise SpecError(
-            f"checker requires deg g2 <= deg g1 (got {g2.degree} > {g1.degree})"
+            "single-generator checker requires a spec without g3"
+            if single
+            else "two-generator checker requires g3"
         )
-    witnesses["degree_gap"] = gap
-    difference = PolyR.monomial(gap) * g2.reciprocal() - g2
-    quotient, remainder = difference.divmod_monic(g3.to_ring_poly())
-    conditions["g3_divides_shift_reciprocal_minus_g2"] = remainder.is_zero
-    if remainder.is_zero:
-        witnesses["division_quotient"] = quotient
-    return conditions, witnesses
-
-
-def _resolve_code(spec: CodeSpec, code: "Code | None", cap: int) -> Code:
+    conditions, witnesses, verdict = _generator_conditions(spec)
     if code is None:
-        return Code.from_spec(spec, cap=cap)
-    return code
-
-
-def reversible_single_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """Reversibility conditions for a single-generator spec: g1 self
-    reciprocal, and either x^gap * reciprocal(g2) = g2 (evaluated literally;
-    the folded variant is reported alongside) or g1 = x^gap * reciprocal(g2)
-    + g2."""
-    spec.require_valid()
-    if not spec.is_single_generator:
-        raise SpecError("single-generator checker requires a spec without g3")
-    conditions, witnesses = _single_generator_conditions(spec)
-    verdict = conditions["g1_self_reciprocal"] and (
-        conditions["g2_shift_reciprocal_equals_g2"]
-        or conditions["g1_equals_shift_reciprocal_plus_g2"]
-    )
-    brute = is_reversible_bruteforce(_resolve_code(spec, code, cap))
+        code = Code.from_spec(spec, cap=cap)
+    if rc:
+        member = constant_word(COMPLEMENT_MEMBERSHIP_ELEMENT, code.n) in code
+        conditions["complement_constant_in_code"] = member
+        verdict = verdict and member
+        brute = is_rc_closed_bruteforce(code)
+    else:
+        brute = is_reversible_bruteforce(code)
+    arity = "single" if spec.is_single_generator else "two"
     return ConditionReport(
-        kind="reversible-single-generator",
-        conditions=conditions,
-        theorem_verdict=verdict,
-        brute_force=brute,
-        agreement=verdict == brute,
-        witnesses=witnesses,
-    )
-
-
-def reversible_pair_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """Reversibility conditions for a two-generator spec: g1 and g3 self
-    reciprocal, and g3 divides x^gap * reciprocal(g2) - g2 in R[x]."""
-    spec.require_valid()
-    if spec.is_single_generator:
-        raise SpecError("two-generator checker requires g3")
-    conditions, witnesses = _pair_generator_conditions(spec)
-    verdict = all(
-        conditions[k]
-        for k in (
-            "g1_self_reciprocal",
-            "g3_self_reciprocal",
-            "g3_divides_shift_reciprocal_minus_g2",
-        )
-    )
-    brute = is_reversible_bruteforce(_resolve_code(spec, code, cap))
-    return ConditionReport(
-        kind="reversible-two-generator",
-        conditions=conditions,
-        theorem_verdict=verdict,
-        brute_force=brute,
-        agreement=verdict == brute,
-        witnesses=witnesses,
-    )
-
-
-def _complement_membership(code: Code) -> bool:
-    return constant_word(COMPLEMENT_MEMBERSHIP_ELEMENT, code.n) in code
-
-
-def reverse_complement_single_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """Reverse-complement closure for a single-generator spec: the
-    reversibility conditions plus membership of the constant word with every
-    coordinate 3*(1+u)."""
-    spec.require_valid()
-    if not spec.is_single_generator:
-        raise SpecError("single-generator checker requires a spec without g3")
-    enumerated = _resolve_code(spec, code, cap)
-    conditions, witnesses = _single_generator_conditions(spec)
-    conditions["complement_constant_in_code"] = _complement_membership(enumerated)
-    verdict = (
-        conditions["g1_self_reciprocal"]
-        and conditions["complement_constant_in_code"]
-        and (
-            conditions["g2_shift_reciprocal_equals_g2"]
-            or conditions["g1_equals_shift_reciprocal_plus_g2"]
-        )
-    )
-    brute = is_rc_closed_bruteforce(enumerated)
-    return ConditionReport(
-        kind="reverse-complement-single-generator",
-        conditions=conditions,
-        theorem_verdict=verdict,
-        brute_force=brute,
-        agreement=verdict == brute,
-        witnesses=witnesses,
-    )
-
-
-def reverse_complement_pair_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """Reverse-complement closure for a two-generator spec: the two-generator
-    reversibility conditions plus the same constant-word membership."""
-    spec.require_valid()
-    if spec.is_single_generator:
-        raise SpecError("two-generator checker requires g3")
-    enumerated = _resolve_code(spec, code, cap)
-    conditions, witnesses = _pair_generator_conditions(spec)
-    conditions["complement_constant_in_code"] = _complement_membership(enumerated)
-    verdict = all(
-        conditions[k]
-        for k in (
-            "g1_self_reciprocal",
-            "g3_self_reciprocal",
-            "g3_divides_shift_reciprocal_minus_g2",
-            "complement_constant_in_code",
-        )
-    )
-    brute = is_rc_closed_bruteforce(enumerated)
-    return ConditionReport(
-        kind="reverse-complement-two-generator",
+        kind=f"{'reverse-complement' if rc else 'reversible'}-{arity}-generator",
         conditions=conditions,
         theorem_verdict=verdict,
         brute_force=brute,
@@ -317,16 +238,40 @@ def reverse_complement_pair_check(
 def reversible_check(
     spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ConditionReport:
-    """Arity dispatch: single- or two-generator reversibility check."""
-    if spec.is_single_generator:
-        return reversible_single_check(spec, code=code, cap=cap)
-    return reversible_pair_check(spec, code=code, cap=cap)
+    """Reversibility conditions next to brute force, for either arity."""
+    return _check(spec, code, cap, rc=False)
 
 
 def reverse_complement_check(
     spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ConditionReport:
-    """Arity dispatch: single- or two-generator reverse-complement check."""
-    if spec.is_single_generator:
-        return reverse_complement_single_check(spec, code=code, cap=cap)
-    return reverse_complement_pair_check(spec, code=code, cap=cap)
+    """Reverse-complement conditions next to brute force, for either arity."""
+    return _check(spec, code, cap, rc=True)
+
+
+def reversible_single_check(
+    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ConditionReport:
+    """reversible_check for a spec without g3; SpecError otherwise."""
+    return _check(spec, code, cap, rc=False, single=True)
+
+
+def reversible_pair_check(
+    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ConditionReport:
+    """reversible_check for a spec with g3; SpecError otherwise."""
+    return _check(spec, code, cap, rc=False, single=False)
+
+
+def reverse_complement_single_check(
+    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ConditionReport:
+    """reverse_complement_check for a spec without g3; SpecError otherwise."""
+    return _check(spec, code, cap, rc=True, single=True)
+
+
+def reverse_complement_pair_check(
+    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ConditionReport:
+    """reverse_complement_check for a spec with g3; SpecError otherwise."""
+    return _check(spec, code, cap, rc=True, single=False)

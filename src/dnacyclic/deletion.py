@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import Code
-from .constraints import (
-    dna_reverse_complement,
-    rc_closed_without_fixed_points,
-    reverse_complement_word,
-    theta_image,
-)
+from .codes import Code, decode_word, reverse_complement_packed, theta_packed
+from .constraints import dna_reverse_complement
 
 #: Default bound on the number of sequence pairs examined per report.
 DEFAULT_PAIR_CAP = 250_000
@@ -97,11 +92,11 @@ def hybridization_energy(x: str, y: str) -> int:
 
 
 def _sequences(code: Code, granularity: str):
+    """Each word as an LCS input: its coordinate bytes at symbol granularity
+    (equal bytes are equal ring elements), its theta image at nucleotide."""
     if granularity == "symbol":
-        return list(code.codewords)
-    if granularity == "nucleotide":
-        return [theta_image(w) for w in code.codewords]
-    raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
+        return [w.to_bytes(code.n, "big") for w in code.packed]
+    return [theta_packed(w, code.n) for w in code.packed]
 
 
 @dataclass
@@ -137,12 +132,17 @@ def code_similarity_report(
     Deterministic: sequences follow the code's sorted word order and the
     reported pair is the first one attaining the maximum.
     """
-    seqs = _sequences(code, granularity)
-    if len(seqs) < 2:
+    if granularity not in GRANULARITIES:
+        raise ValueError(
+            f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
+        )
+    size = code.cardinality
+    if size < 2:
         raise ValueError("similarity report needs a code with at least 2 words")
-    n_pairs = len(seqs) * (len(seqs) - 1) // 2
+    n_pairs = size * (size - 1) // 2
     if n_pairs > pair_cap:
         raise PairCapExceeded(f"{n_pairs} pairs exceed the cap of {pair_cap}")
+    seqs = _sequences(code, granularity)
     length = len(seqs[0])
     # Distinct equal-length sequences can share at most length-1 symbols, so
     # the scan can stop as soon as that ceiling is attained; the first pair
@@ -157,16 +157,20 @@ def code_similarity_report(
             s = lcs_length(seqs[i], seqs[j])
             if s > best:
                 best = s
-                best_pair = (seqs[i], seqs[j])
+                best_pair = (i, j)
                 if best == ceiling:
                     break
         if best == ceiling:
             break
+    if granularity == "symbol":
+        achieving = tuple(decode_word(code.packed[k], code.n) for k in best_pair)
+    else:
+        achieving = tuple(seqs[k] for k in best_pair)
     return SimilarityReport(
         granularity=granularity,
         sequence_length=length,
         max_similarity=best,
-        achieving_pair=best_pair,
+        achieving_pair=achieving,
         deletion_distance=length - 1 - best,
         pairs_examined=examined,
     )
@@ -207,7 +211,10 @@ class DnaCodeReport:
 
 def _rc_condition(code: Code, granularity: str) -> bool:
     if granularity == "symbol":
-        return rc_closed_without_fixed_points(code.codewords)
+        return all(
+            (rc := reverse_complement_packed(w, code.n)) != w and rc in code
+            for w in code.packed
+        )
     images = set(_sequences(code, granularity))
     return all(
         (rc := dna_reverse_complement(s)) in images and rc != s for s in images

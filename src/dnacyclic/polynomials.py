@@ -522,7 +522,8 @@ def _factor_mod2_masks(n: int) -> tuple[int, ...]:
         if all(_gf_pow(cand, n // p, mod) != 1 for p in _prime_factors(n)):
             alpha = cand
             break
-    assert alpha, "no primitive n-th root of unity found"
+    if not alpha:
+        raise RuntimeError("no primitive n-th root of unity found")
 
     masks = []
     for coset in cyclotomic_cosets(n):
@@ -535,14 +536,16 @@ def _factor_mod2_masks(n: int) -> tuple[int, ...]:
                 nxt[j] ^= bpoly_mulmod(root, cj, mod)
                 nxt[j + 1] ^= cj
             poly = nxt
-        assert all(c in (0, 1) for c in poly), "coefficients left the base field"
+        if not all(c in (0, 1) for c in poly):
+            raise RuntimeError("coefficients left the base field")
         masks.append(sum(c << j for j, c in enumerate(poly)))
 
     masks.sort(key=lambda f: (bpoly_degree(f), bpoly_to_poly(f).coeffs))
     product = 1
     for f in masks:
         product = bpoly_mul(product, f)
-    assert product == (1 << n) | 1, "factor product is not x^n + 1 mod 2"
+    if product != (1 << n) | 1:
+        raise RuntimeError("factor product is not x^n + 1 mod 2")
     return tuple(masks)
 
 
@@ -575,11 +578,13 @@ def graeffe_lift(f2: PolyZ4, n: "int | None" = None, max_n: int = MAX_N_DEFAULT)
             raise ValueError(f"{f2} does not divide x^{n} - 1 mod 2")
     f_neg = PolyZ4([c if i % 2 == 0 else -c for i, c in enumerate(f2.coeffs)])
     h = f2 * f_neg
-    assert all(c == 0 for c in h.coeffs[1::2]), "Graeffe product has odd terms"
+    if not all(c == 0 for c in h.coeffs[1::2]):
+        raise RuntimeError("Graeffe product has odd terms")
     g = PolyZ4(h.coeffs[0::2])
     if g.coeffs[-1] == 3:
         g = -g
-    assert g.is_monic, "Graeffe lift failed to normalize to monic"
+    if not g.is_monic:
+        raise RuntimeError("Graeffe lift failed to normalize to monic")
     return g
 
 
@@ -590,7 +595,8 @@ def _factor_z4_cached(n: int) -> tuple[PolyZ4, ...]:
     product = PolyZ4([1])
     for f in factors:
         product = product * f
-    assert product == PolyZ4.xn_minus_1(n), "lift product is not x^n - 1 over Z4"
+    if product != PolyZ4.xn_minus_1(n):
+        raise RuntimeError("lift product is not x^n - 1 over Z4")
     return tuple(factors)
 
 

@@ -309,6 +309,28 @@ def test_config_max_n(capsys, tmp_path):
     assert "max_n" in err
 
 
+@pytest.mark.parametrize(
+    "key, flags, config_line",
+    [
+        ("enumeration_cap", ["--cap", "0"], None),
+        ("pair_cap", ["--pair-cap", "-5"], None),
+        ("max_n", ["--max-n", "0"], None),
+        ("enumeration_cap", [], "enumeration_cap = 0"),
+        ("pair_cap", [], "pair_cap = 0"),
+        ("max_n", [], "max_n = -1"),
+    ],
+)
+def test_caps_below_one_exit_two(capsys, tmp_path, key, flags, config_line):
+    argv = ["check", "--n", "3", "--g1", "[1,1,1]", "--deletion", *flags]
+    if config_line is not None:
+        cfg = tmp_path / "caps.conf"
+        cfg.write_text(config_line + "\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{key} must be at least 1" in err
+
+
 def test_config_unknown_key_exits_two(capsys, tmp_path):
     cfg = tmp_path / "caps.conf"
     cfg.write_text("bogus = 1\n")

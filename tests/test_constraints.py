@@ -286,6 +286,11 @@ def test_checker_rejects_g2_degree_above_g1():
         reversible_check(spec_from(3, "[3,1]", g2="[1,1,1]"))
     with pytest.raises(SpecError):
         reverse_complement_check(spec_from(3, "[3,1]", g2="[1,1,1]"))
+    # The conditions come before enumeration, so a cap the code would
+    # exceed is never reached.
+    for checker in (reversible_check, reverse_complement_check):
+        with pytest.raises(SpecError):
+            checker(spec_from(3, "[3,1]", g2="[1,1,1]"), cap=1)
 
 
 def test_checker_rejects_invalid_spec():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -328,3 +329,22 @@ def test_ring_poly_divmod_roundtrip():
         q, r = f.divmod_monic(d)
         assert q * d + r == f
         assert r.degree is None or r.degree < d.degree
+
+
+def test_factor_mod2_matches_sympy_for_odd_n_to_127():
+    sympy = pytest.importorskip("sympy")
+    from sympy.utilities.exceptions import SymPyDeprecationWarning
+
+    x = sympy.symbols("x")
+    for n in range(1, 128, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SymPyDeprecationWarning)
+            _, factors = sympy.factor_list(x**n - 1, modulus=2)
+        expected = sorted(
+            tuple(int(c) % 2 for c in reversed(sympy.Poly(f, x).all_coeffs()))
+            for f, multiplicity in factors
+            if multiplicity == 1
+        )
+        assert len(expected) == len(factors), n  # squarefree at odd n
+        got = sorted(f.coeffs for f in factor_xn_minus_1_mod2(n, max_n=127))
+        assert got == expected, n
