@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success (and every requested verdict true), 1 a requested
 verdict is false or the spec is invalid, 2 usage or parse error, 3 a
-configured resource cap was exceeded.
+configured resource cap was exceeded, 4 an internal error (a bug).
 
 Config files are plain "key = value" lines (# comments allowed) with keys
 max_n, enumeration_cap, pair_cap; explicit command-line options win over the
@@ -18,6 +18,7 @@ config file, which wins over the defaults.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ from .polynomials import (
     PolyR,
     PolyZ4,
     all_monic_divisors,
+    check_n,
     factor_xn_minus_1_mod2,
     factor_xn_minus_1_z4,
 )
@@ -135,6 +137,13 @@ def _parse_poly_r(text: str, what: str) -> PolyR:
         raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
 
+def _require_valid_n(n: int, max_n: int) -> None:
+    try:
+        check_n(n, max_n)
+    except ValueError as exc:
+        raise CliParseError(str(exc)) from exc
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -144,6 +153,7 @@ def _yn(flag: bool) -> str:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     caps = load_caps(args.config, args)
+    _require_valid_n(args.n, caps.max_n)
     mod2 = factor_xn_minus_1_mod2(args.n, max_n=caps.max_n)
     z4 = factor_xn_minus_1_z4(args.n, max_n=caps.max_n)
     if args.json:
@@ -294,7 +304,11 @@ def _run_deletion_section(code, granularity, caps, doc, lines) -> int:
     pair = section["similarity"]["achieving_pair"]
     lines.append(f"  achieving_pair {pair[0]} | {pair[1]}")
     dna = dna_code_report(
-        code, report.deletion_distance, granularity, pair_cap=caps.pair_cap
+        code,
+        report.deletion_distance,
+        granularity,
+        pair_cap=caps.pair_cap,
+        similarity=report,
     )
     section["dna_code"] = dna.describe()
     lines.append(
@@ -305,7 +319,9 @@ def _run_deletion_section(code, granularity, caps, doc, lines) -> int:
         f"verdict={_yn(dna.is_dna_code)}"
     )
     try:
-        sub = subcode_deletion_distance_check(code, granularity, pair_cap=caps.pair_cap)
+        sub = subcode_deletion_distance_check(
+            code, granularity, pair_cap=caps.pair_cap, similarity=report
+        )
     except ValueError as exc:
         section["subcode"] = {"error": str(exc)}
         lines.append(f"subcode_deletion unavailable: {exc}")
@@ -336,23 +352,35 @@ def _default_g2_family(g1: PolyZ4, divisors: "list[PolyZ4]") -> "list[PolyR]":
     return _dedupe_polys(family)
 
 
-def _g2_candidates(args, g1: PolyZ4, divisors: "list[PolyZ4]") -> "list[PolyR]":
+def _widened_g2_family(args, cap: int) -> "list[PolyR] | None":
+    """The g2 family of --g2-degree-bound and --g2-coeffs, or None when
+    neither is given.  Refused before any polynomial is built when it holds
+    more than ``cap`` polynomials."""
     if (args.g2_degree_bound is None) != (args.g2_coeffs is None):
         raise CliParseError(
             "--g2-degree-bound and --g2-coeffs must be given together"
         )
     if args.g2_degree_bound is None:
-        return _default_g2_family(g1, divisors)
+        return None
     try:
         coeffs = [RingElement.from_string(t) for t in args.g2_coeffs.split(",")]
     except ValueError as exc:
         raise CliParseError(f"cannot parse --g2-coeffs: {exc}") from exc
     if args.g2_degree_bound < 0:
         raise CliParseError("--g2-degree-bound must be >= 0")
-    prefixes: list[list[RingElement]] = [[]]
-    for _ in range(args.g2_degree_bound + 1):
-        prefixes = [prefix + [c] for prefix in prefixes for c in coeffs]
-    return _dedupe_polys([PolyR(prefix) for prefix in prefixes])
+    coeffs = list(dict.fromkeys(coeffs))
+    length = args.g2_degree_bound + 1
+    # Distinct coefficient tuples of one length are distinct polynomials, so
+    # the family has len(coeffs)**length members.  An exponent past the
+    # cap's bit length already exceeds the cap, so the power stays small.
+    if len(coeffs) ** min(length, cap.bit_length() + 1) > cap:
+        raise EnumerationCapExceeded(
+            f"the g2 family of {len(coeffs)}^{length} polynomials exceeds "
+            f"the {cap} enumeration cap"
+        )
+    return _dedupe_polys(
+        [PolyR(list(p)) for p in itertools.product(coeffs, repeat=length)]
+    )
 
 
 def iter_catalog_specs(n: int, g2_family_for=None, max_n: int = MAX_N_DEFAULT):
@@ -382,10 +410,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         raise EnumerationCapExceeded(
             f"n = {args.n} exceeds the configured max_n = {caps.max_n}"
         )
-    divisors = all_monic_divisors(args.n, max_n=caps.max_n)
+    _require_valid_n(args.n, caps.max_n)
+    family = _widened_g2_family(args, caps.enumeration_cap)
     specs = iter_catalog_specs(
         args.n,
-        g2_family_for=(lambda g1: _g2_candidates(args, g1, divisors)),
+        g2_family_for=None if family is None else (lambda g1: family),
         max_n=caps.max_n,
     )
     entries = []
@@ -600,19 +629,20 @@ def main(argv: "list[str] | None" = None) -> int:
         # pipe) surfaces here instead of at interpreter shutdown.
         sys.stdout.flush()
         return result
-    except CliParseError as exc:
+    except (CliParseError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EnumerationCapExceeded, PairCapExceeded) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Reader went away (e.g. piped into head); suppress the traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except Exception as exc:
+        # Anything else is a bug; keep it apart from the user-facing codes.
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

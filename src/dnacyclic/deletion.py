@@ -8,6 +8,15 @@ computed at a chosen granularity:
   symbol      the length-n words over the ring (one symbol per coordinate),
   nucleotide  the length-2n theta images over the DNA alphabet.
 
+The maximum over a code is found in two stages.  Two distinct strings of
+length L have LCS >= L - 1 exactly when some one-symbol deletion of each
+gives the same string (their 1-deletion balls meet, Levenshtein 1966), so
+stage 1 hashes every word's 1-deletion variants and looks for one that two
+words share.  Only when none is shared does stage 2 run the dynamic-
+programming pair sweep, which may then stop at the first pair reaching
+L - 2.  Either way the report equals that of a plain sweep over the pairs in
+order: same maximum, same first achieving pair, same pairs_examined.
+
 The bond count of a strand against the reverse complement of another equals
 their similarity, so hybridization_energy is an alias built on the string
 reverse complement.
@@ -124,6 +133,61 @@ class SimilarityReport:
         }
 
 
+def _first_pair_sharing_a_deletion(seqs):
+    """The first pair (i, j), i < j, in sweep order whose words share a
+    1-deletion variant, or None.
+
+    Each variant maps to the first word holding it.  The first pair in sweep
+    order is the lexicographic minimum of (first holder, later holder) over
+    all shared variants: if (i, j) shares v and v's first holder h were
+    below i, then (h, j) would share v and come earlier.
+    """
+    first_holder: dict = {}
+    best = None
+    for j, seq in enumerate(seqs):
+        for k in range(len(seq)):
+            i = first_holder.setdefault(seq[:k] + seq[k + 1 :], j)
+            if i != j and (best is None or (i, j) < best):
+                best = (i, j)
+    return best
+
+
+def _sweep(seqs, ceiling: int):
+    """Max LCS over pairs in order and the first pair attaining it, stopping
+    at the first pair that reaches ``ceiling``."""
+    best = -1
+    best_pair = None
+    for i in range(len(seqs)):
+        for j in range(i + 1, len(seqs)):
+            s = lcs_length(seqs[i], seqs[j])
+            if s > best:
+                best = s
+                best_pair = (i, j)
+                if best == ceiling:
+                    return best, best_pair
+    return best, best_pair
+
+
+def max_pairwise_similarity(seqs) -> tuple:
+    """(max S, first achieving pair (i, j), pairs_examined) over distinct
+    equal-length sequences, at least two of them.
+
+    pairs_examined is the number of pairs, in the order (0, 1), (0, 2), ...,
+    (1, 2), ..., that a sweep stopping at the ceiling L - 1 would examine:
+    through the achieving pair when the maximum is L - 1, all of them
+    otherwise.
+    """
+    size, length = len(seqs), len(seqs[0])
+    pair = _first_pair_sharing_a_deletion(seqs)
+    if pair is not None:
+        i, j = pair
+        return length - 1, pair, i * (size - 1) - i * (i - 1) // 2 + (j - i)
+    # No pair reaches L - 1, so the first pair reaching L - 2 attains the
+    # maximum; the sweep falls back to every pair only when none does.
+    best, pair = _sweep(seqs, ceiling=length - 2)
+    return best, pair, size * (size - 1) // 2
+
+
 def code_similarity_report(
     code: Code, granularity: str = "symbol", pair_cap: int = DEFAULT_PAIR_CAP
 ) -> SimilarityReport:
@@ -144,24 +208,7 @@ def code_similarity_report(
         raise PairCapExceeded(f"{n_pairs} pairs exceed the cap of {pair_cap}")
     seqs = _sequences(code, granularity)
     length = len(seqs[0])
-    # Distinct equal-length sequences can share at most length-1 symbols, so
-    # the scan can stop as soon as that ceiling is attained; the first pair
-    # reaching it is still the first pair attaining the maximum.
-    ceiling = length - 1
-    best = -1
-    best_pair = None
-    examined = 0
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            examined += 1
-            s = lcs_length(seqs[i], seqs[j])
-            if s > best:
-                best = s
-                best_pair = (i, j)
-                if best == ceiling:
-                    break
-        if best == ceiling:
-            break
+    best, best_pair, examined = max_pairwise_similarity(seqs)
     if granularity == "symbol":
         achieving = tuple(decode_word(code.packed[k], code.n) for k in best_pair)
     else:
@@ -174,6 +221,18 @@ def code_similarity_report(
         deletion_distance=length - 1 - best,
         pairs_examined=examined,
     )
+
+
+def _code_report(code, granularity, pair_cap, similarity):
+    """``similarity`` if given (checked against the granularity), else the
+    code's report computed now."""
+    if similarity is None:
+        return code_similarity_report(code, granularity=granularity, pair_cap=pair_cap)
+    if similarity.granularity != granularity:
+        raise ValueError(
+            f"a {similarity.granularity} report was given for {granularity} granularity"
+        )
+    return similarity
 
 
 @dataclass
@@ -226,11 +285,16 @@ def dna_code_report(
     required_distance: int,
     granularity: str = "symbol",
     pair_cap: int = DEFAULT_PAIR_CAP,
+    similarity: "SimilarityReport | None" = None,
 ) -> DnaCodeReport:
     """Check the three defining conditions of a DNA code with distance D:
     module closure (cyclic + additive + scalar), reverse-complement closure
-    with no fixed point, and S(X, Y) <= L - D - 1 for all distinct pairs."""
-    report = code_similarity_report(code, granularity=granularity, pair_cap=pair_cap)
+    with no fixed point, and S(X, Y) <= L - D - 1 for all distinct pairs.
+
+    ``similarity``, the code's report at this granularity if already
+    computed, saves computing it again.
+    """
+    report = _code_report(code, granularity, pair_cap, similarity)
     closed = (
         code.is_shift_closed() and code.is_addition_closed() and code.is_scalar_closed()
     )
@@ -271,12 +335,16 @@ class SubcodeDistanceReport:
 
 
 def subcode_deletion_distance_check(
-    code: Code, granularity: str = "symbol", pair_cap: int = DEFAULT_PAIR_CAP
+    code: Code,
+    granularity: str = "symbol",
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    similarity: "SimilarityReport | None" = None,
 ) -> SubcodeDistanceReport:
     """D of the code and D of its 1+u-multiples subcode, side by side.
 
     Raises if either the code or the subcode has fewer than 2 words, since
-    the distance is a pairwise quantity.
+    the distance is a pairwise quantity.  ``similarity``, the code's report
+    at this granularity if already computed, saves computing it again.
     """
     subcode = code.subcode_one_plus_u()
     if subcode.cardinality < 2:
@@ -284,7 +352,7 @@ def subcode_deletion_distance_check(
             f"subcode of 1+u multiples has {subcode.cardinality} word(s); "
             "deletion distance needs at least 2"
         )
-    code_report = code_similarity_report(code, granularity=granularity, pair_cap=pair_cap)
+    code_report = _code_report(code, granularity, pair_cap, similarity)
     sub_report = code_similarity_report(subcode, granularity=granularity, pair_cap=pair_cap)
     return SubcodeDistanceReport(
         granularity=granularity,

@@ -499,7 +499,8 @@ def cyclotomic_cosets(n: int) -> list[list[int]]:
     return cosets
 
 
-def _check_n(n: int, max_n: int) -> None:
+def check_n(n: int, max_n: int) -> None:
+    """Raise ValueError unless n is odd, positive and at most max_n."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
     if n > max_n:
@@ -557,7 +558,7 @@ def factor_xn_minus_1_mod2(n: int, max_n: int = MAX_N_DEFAULT) -> list[PolyZ4]:
     factorization is the set of minimal polynomials of the n-th roots of
     unity, one per cyclotomic coset.
     """
-    _check_n(n, max_n)
+    check_n(n, max_n)
     return [bpoly_to_poly(f) for f in _factor_mod2_masks(n)]
 
 
@@ -573,7 +574,7 @@ def graeffe_lift(f2: PolyZ4, n: "int | None" = None, max_n: int = MAX_N_DEFAULT)
     if any(c not in (0, 1) for c in f2.coeffs):
         raise ValueError(f"expected a 0/1-coefficient polynomial, got {f2}")
     if n is not None:
-        _check_n(n, max_n)
+        check_n(n, max_n)
         if bpoly_mod((1 << n) | 1, f2.reduce_mod2()) != 0:
             raise ValueError(f"{f2} does not divide x^{n} - 1 mod 2")
     f_neg = PolyZ4([c if i % 2 == 0 else -c for i, c in enumerate(f2.coeffs)])
@@ -607,7 +608,7 @@ def factor_xn_minus_1_z4(n: int, max_n: int = MAX_N_DEFAULT) -> list[PolyZ4]:
     product over all factors is verified to equal x^n - 1 before returning.
     Sorted by (degree, ascending coefficient list).
     """
-    _check_n(n, max_n)
+    check_n(n, max_n)
     return list(_factor_z4_cached(n))
 
 

@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from dnacyclic import cli
 from dnacyclic.cli import (
     LENGTH6_CODE_TABLE,
     LENGTH18_CODE_TABLE,
     iter_catalog_specs,
     main,
 )
+from dnacyclic.codes import SpecError
 
 TABLES_GOLDEN = """\
 codon correspondence
@@ -278,6 +280,30 @@ def test_catalog_pair_cap_marks_entries_instead_of_failing(capsys):
     )
 
 
+def test_catalog_widened_g2_family_over_the_cap_exits_three(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the refused family was built")
+
+    monkeypatch.setattr(cli.itertools, "product", never)
+    code, out, err = run(
+        capsys,
+        "catalog", "3", "--g2-degree-bound", str(10**12), "--g2-coeffs", "0,1",
+    )
+    assert (code, out) == (3, "")
+    assert f"2^{10**12 + 1} polynomials exceeds the 1048576 enumeration cap" in err
+
+
+def test_catalog_widened_g2_family_cap_counts_distinct_coefficients(capsys):
+    # 3 distinct coefficients at degree <= 1 make 9 polynomials.
+    widen = ("--g2-degree-bound", "1", "--g2-coeffs", "0,1,1+u,1", "--json")
+    code, out, _ = run(capsys, "catalog", "3", *widen, "--cap", "9")
+    assert code == 0
+    assert json.loads(out)["entry_count"] == 117
+    code, out, err = run(capsys, "catalog", "3", *widen, "--cap", "8")
+    assert (code, out) == (3, "")
+    assert "3^2 polynomials exceeds the 8 enumeration cap" in err
+
+
 # -- config files --------------------------------------------------------------------
 
 
@@ -370,6 +396,53 @@ def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["check", "--g1", "[3,1]"])  # no --n
     assert excinfo.value.code == 2
+
+
+# -- exit codes ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factor", "-1"], "n must be odd and positive, got -1"),
+        (["factor", "33"], "n = 33 exceeds the configured bound 31"),
+        (["factor", "9", "--max-n", "7"], "n = 9 exceeds the configured bound 7"),
+        (["catalog", "4"], "n must be odd and positive, got 4"),
+        (["catalog", "0"], "n must be odd and positive, got 0"),
+        (["check", "--n", "3", "--g1", "[1"], "cannot parse --g1"),
+        (["check", "--n", "3", "--g1", "[1]", "--g2", "[v]"], "cannot parse --g2"),
+        (["check", "--n", "3", "--g1", "[1]", "--g3", "x"], "cannot parse --g3"),
+        (["catalog", "3", "--g2-coeffs", "0"], "must be given together"),
+        (["catalog", "3", "--g2-degree-bound", "1", "--g2-coeffs", "0,v"],
+         "cannot parse --g2-coeffs"),
+        (["catalog", "3", "--g2-degree-bound", "-1", "--g2-coeffs", "0"],
+         "--g2-degree-bound must be >= 0"),
+    ],
+)
+def test_user_input_errors_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "exc, exit_code, message",
+    [
+        (ValueError("boom\nsecond line"), 4,
+         "internal error: ValueError('boom\\nsecond line')\n"),
+        (KeyError("k"), 4, "internal error: KeyError('k')\n"),
+        (ZeroDivisionError("z"), 4, "internal error: ZeroDivisionError('z')\n"),
+        (SpecError("bad spec"), 2, "error: bad spec\n"),
+    ],
+)
+def test_injected_errors_keep_their_exit_codes(capsys, monkeypatch, exc, exit_code,
+                                               message):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "gc_spectrum", broken)
+    code, out, err = run(capsys, "check", "--n", "3", "--g1", "[1,1,1]", "--gc")
+    assert (code, out, err) == (exit_code, "", message)
 
 
 # -- installed entry point --------------------------------------------------------------

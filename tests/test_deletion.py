@@ -241,6 +241,38 @@ def test_subcode_check_needs_two_subcode_words():
         subcode_deletion_distance_check(code, "symbol")
 
 
+def test_given_similarity_report_is_used_not_recomputed(monkeypatch):
+    import dnacyclic.deletion as deletion
+
+    code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
+    for granularity in GRANULARITIES:
+        report = code_similarity_report(code, granularity)
+        dna = dna_code_report(code, 1, granularity)
+        sub = subcode_deletion_distance_check(code, granularity)
+        calls = []
+        real = deletion.code_similarity_report
+        monkeypatch.setattr(
+            deletion, "code_similarity_report",
+            lambda c, *a, **k: calls.append(c.cardinality) or real(c, *a, **k),
+        )
+        assert dna_code_report(code, 1, granularity, similarity=report) == dna
+        assert calls == []
+        assert subcode_deletion_distance_check(
+            code, granularity, similarity=report
+        ) == sub
+        assert calls == [4]  # the subcode only
+        monkeypatch.undo()
+
+
+def test_given_similarity_report_must_match_granularity():
+    code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
+    report = code_similarity_report(code, "symbol")
+    with pytest.raises(ValueError, match="symbol report"):
+        dna_code_report(code, 1, "nucleotide", similarity=report)
+    with pytest.raises(ValueError, match="symbol report"):
+        subcode_deletion_distance_check(code, "nucleotide", similarity=report)
+
+
 def test_reports_are_plain_data():
     code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
     sim = code_similarity_report(code, "symbol").describe()

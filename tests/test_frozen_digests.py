@@ -1,0 +1,54 @@
+"""Frozen stdout digests and exit codes of fixed CLI runs.
+
+Each case's sha256 of stdout and its exit code were recorded on the commit
+before the deletion layer moved from a pair sweep to shared deletion
+variants, so any change to the output bytes of these runs fails here.  The
+cases cover two default catalogs, a small widened-g2 catalog, and
+``check --deletion`` at both granularities on codes of constant words (the
+exact-sweep fallback), on the zero code (fewer than 2 words), on pool-sized
+codes whose nucleotide maximum is 2n-1 or 2n-2, and on both cap exits.
+
+A change that means to alter one of these outputs says so in CHANGES.md and
+re-records only that case.
+"""
+
+import hashlib
+
+import pytest
+
+from dnacyclic.cli import main
+
+FROZEN = [
+    (["catalog", "3", "--json"], 0, "40ff0d968d3d0a8084777e0364a68e9bbf081822ed7603176b3b74473fb3b147"),
+    (["catalog", "5", "--cap", "4096", "--json"], 0, "420f43559abc7b202a18bb76f5c4c1c0856b57af692f8e985037f299b93bece7"),
+    (["catalog", "3", "--g2-degree-bound", "1", "--g2-coeffs", "0,1,1+u", "--json"], 0, "9816821cc99160a0a2fbe82632ef68193ff9f5fe42f9371c8ac9e807828b3dfc"),
+    (["check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--reversible", "--rc", "--gc", "--deletion", "--granularity", "symbol", "--json"], 0, "b500dd10402d8f8206560098e97bea0a0195d678210f3b1c60fa17d872afa2a4"),
+    (["check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--reversible", "--rc", "--gc", "--deletion", "--granularity", "nucleotide", "--json"], 0, "e0a7f20cb510f0462c98fcf1a02ae9a393caba4a1343e7d1d53ff53e6c76cafc"),
+    (["check", "--n", "3", "--g1", "[3,0,0,1]", "--g2", "[3,0,0,1]", "--g3", "[1,1,1]", "--deletion", "--granularity", "symbol"], 0, "30601bc511836a612d22b05600f6a9a728f762fed4e9f2bb23920ecf2762883a"),
+    (["check", "--n", "3", "--g1", "[3,0,0,1]", "--g2", "[3,0,0,1]", "--g3", "[1,1,1]", "--deletion", "--granularity", "nucleotide"], 0, "ff93e3916ec09bddf00ad39443a750eddce2af24b4f963a0fe1af9868ca1991d"),
+    (["check", "--n", "3", "--g1", "[3,0,0,1]", "--deletion", "--granularity", "symbol", "--json"], 0, "030bf2895365347bae90d04c44267007eddf8be95ea7ae00928b014df9af4dc9"),
+    (["check", "--n", "3", "--g1", "[3,0,0,1]", "--deletion", "--granularity", "nucleotide", "--json"], 0, "030bf2895365347bae90d04c44267007eddf8be95ea7ae00928b014df9af4dc9"),
+    (["check", "--n", "3", "--g1", "[3,1]", "--reversible", "--rc", "--deletion", "--granularity", "symbol"], 1, "9baba5434a622c572e560797db18578cc28a5809df0531ce319d5e71d4d6e4e1"),
+    (["check", "--n", "3", "--g1", "[3,1]", "--reversible", "--rc", "--deletion", "--granularity", "nucleotide"], 1, "9185e77c230d5807b01eeea32a0e764b19bb161cd4cf347e52e60210aff7d3e8"),
+    (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--deletion", "--granularity", "symbol", "--json"], 0, "816c71dd002e30317102f47aa85972f4d855c37cede78ca9665fcdfebbdf882e"),
+    (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--deletion", "--granularity", "nucleotide", "--json"], 0, "a4056a8d83e924c35ef86f831056923b2dde0bc70448c33d10de5cfd61d20380"),
+    (["check", "--n", "7", "--g1", "[3,0,0,0,0,0,0,1]", "--g2", "[1,1,3,2,1]", "--gc", "--deletion", "--granularity", "symbol"], 0, "2592a709452e18ade3e55c18a1c6f9873ad17d5f2e35c5ec1f2a3bc00bf250d2"),
+    (["check", "--n", "7", "--g1", "[3,0,0,0,0,0,0,1]", "--g2", "[1,1,3,2,1]", "--gc", "--deletion", "--granularity", "nucleotide"], 0, "ed355c75e437ffb743fc47e6b889ee68a5c616be5d96ddad5079acaeafcfbbd7"),
+    (["check", "--n", "9", "--g1", "[3,1,0,3,1,0,3,1]", "--deletion", "--granularity", "symbol", "--json"], 0, "aa5354e6bf6abe551afa2d6b0832e9cadf7f866067e4ec30eb1948e8124e67b8"),
+    (["check", "--n", "9", "--g1", "[3,1,0,3,1,0,3,1]", "--deletion", "--granularity", "nucleotide", "--json"], 0, "659cddf86e127d0a54f0ddfa07a1210f3105f6fa0f8d620d1462c69942d4fdf2"),
+    (["check", "--n", "9", "--g1", "[3,0,0,0,0,0,0,0,0,1]", "--g2", "[1,0,0,1,0,0,1]", "--g3", "[1,1,1,1,1,1,1,1,1]", "--deletion", "--granularity", "symbol"], 0, "9e8f6f0efb182af7b352f80c3168065c783adbc0236e83d464c41c12f10b5e0d"),
+    (["check", "--n", "9", "--g1", "[3,0,0,0,0,0,0,0,0,1]", "--g2", "[1,0,0,1,0,0,1]", "--g3", "[1,1,1,1,1,1,1,1,1]", "--deletion", "--granularity", "nucleotide"], 0, "5a51831defbbad0069f8d9bb4928abb82985d8424cfa040995d48b39432d4bda"),
+    (["check", "--n", "9", "--g1", "[1,1,1,1,1,1,1,1,1]", "--g2", "[1,1,1,1,1,1,1,1,1]", "--deletion", "--granularity", "symbol", "--json"], 0, "6004313dbadcaebccbf81c0a2ba499415110e716b9e210118255d26a8ed65669"),
+    (["check", "--n", "9", "--g1", "[1,1,1,1,1,1,1,1,1]", "--g2", "[1,1,1,1,1,1,1,1,1]", "--deletion", "--granularity", "nucleotide", "--json"], 0, "9a3e5745dbcadcd48c8f726b5357e3a532cdd831129385d4149952261fb3a82d"),
+    (["check", "--n", "3", "--g1", "[1]", "--cap", "5000", "--deletion"], 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--deletion", "--pair-cap", "10"], 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", FROZEN, ids=[" ".join(c[0]) for c in FROZEN]
+)
+def test_output_matches_frozen_digest(capsys, argv, exit_code, digest):
+    assert main(list(argv)) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
