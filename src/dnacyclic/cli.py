@@ -137,7 +137,15 @@ def _parse_poly_r(text: str, what: str) -> PolyR:
         raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
 
+def _require_n_within_max(n: int, max_n: int) -> None:
+    """n above the configured max_n is a resource cap (exit 3)."""
+    if n > max_n:
+        raise EnumerationCapExceeded(f"n = {n} exceeds the configured max_n = {max_n}")
+
+
 def _require_valid_n(n: int, max_n: int) -> None:
+    """Refuse n above max_n (exit 3), then an even or non-positive n (exit 2)."""
+    _require_n_within_max(n, max_n)
     try:
         check_n(n, max_n)
     except ValueError as exc:
@@ -191,10 +199,7 @@ def _word_str(word) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     caps = load_caps(args.config, args)
-    if args.n > caps.max_n:
-        raise EnumerationCapExceeded(
-            f"n = {args.n} exceeds the configured max_n = {caps.max_n}"
-        )
+    _require_n_within_max(args.n, caps.max_n)
     spec = _spec_from_args(args)
     doc: dict = {"command": "check", "spec": spec.describe()}
     lines: list[str] = []
@@ -318,14 +323,9 @@ def _run_deletion_section(code, granularity, caps, doc, lines) -> int:
         f"similarity_bound={_yn(dna.similarity_within_bound)} "
         f"verdict={_yn(dna.is_dna_code)}"
     )
-    try:
-        sub = subcode_deletion_distance_check(
-            code, granularity, pair_cap=caps.pair_cap, similarity=report
-        )
-    except ValueError as exc:
-        section["subcode"] = {"error": str(exc)}
-        lines.append(f"subcode_deletion unavailable: {exc}")
-        return 0
+    sub = subcode_deletion_distance_check(
+        code, granularity, pair_cap=caps.pair_cap, similarity=report
+    )
     section["subcode"] = sub.describe()
     lines.append(
         f"subcode_deletion code_distance={sub.code_distance} "
@@ -406,10 +406,6 @@ def iter_catalog_specs(n: int, g2_family_for=None, max_n: int = MAX_N_DEFAULT):
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     caps = load_caps(args.config, args)
-    if args.n > caps.max_n:
-        raise EnumerationCapExceeded(
-            f"n = {args.n} exceeds the configured max_n = {caps.max_n}"
-        )
     _require_valid_n(args.n, caps.max_n)
     family = _widened_g2_family(args, caps.enumeration_cap)
     specs = iter_catalog_specs(

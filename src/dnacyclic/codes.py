@@ -2,9 +2,10 @@
 
 A code is the ideal of R[x]/(x^n - 1) generated by g1(x) + (1+u)g2(x) and,
 when g3 is present, (1+u)g3(x), with g1 and g3 monic over Z4 and
-g3 | g1 | x^n - 1 mod 2.  Enumeration closes the cyclic shifts of the
-generators under addition and all 16 scalar multiples, so it computes the
-full ideal with no structural assumptions.
+g3 | g1 | x^n - 1 mod 2.  As a Z4-module the ideal is spanned by the rows
+x^i*g and x^i*(u*g) of each generator g (every scalar a + bu is a*1 + b*u),
+so enumeration is the Z4-span of those 2n rows per generator, with no
+further structural assumptions.
 
 Codewords are length-n tuples of ring elements in the library API.  Every
 analysis works on the packed form instead: one byte per coordinate (high
@@ -20,7 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .polynomials import PolyR, PolyZ4
-from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, RingElement
+from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, U, RingElement
 
 Codeword = tuple[RingElement, ...]
 
@@ -33,7 +34,7 @@ class SpecError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Closure grew past the configured word cap."""
+    """A code has more words than the configured word cap."""
 
 
 # Byte-level tables for packed words.  Valid coordinate bytes are
@@ -116,6 +117,30 @@ def is_one_plus_u_multiple_packed(packed: int, n: int) -> bool:
     return (packed >> 4) & low == packed & low
 
 
+def _z4_span(rows, n: int, cap: int) -> set[int]:
+    """The Z4-span of packed rows, refused once it would hold more than cap
+    words.
+
+    A row r outside the span has order 2 modulo it when 2r is in the span,
+    and 4 otherwise.  The cosets span + t*r for t < order are disjoint, so
+    each step's size is exact and no word past the cap is ever built.
+    """
+    mask = _every_byte(_ADD_NIBBLE_MASK, n)
+    span = {0}
+    for r in rows:
+        if r in span:
+            continue
+        order = 2 if (r + r) & mask in span else 4
+        if len(span) * order > cap:
+            raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
+        coset = list(span)
+        step = r
+        for _ in range(order - 1):
+            span.update([(w + step) & mask for w in coset])
+            step = (step + r) & mask
+    return span
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Generator data (n, g1, g2, optional g3) for a cyclic code.
@@ -191,9 +216,9 @@ class CodeSpec:
 
 
 class Code:
-    """An enumerated code: a set of length-n words closed under the module
-    operations (closure is verified by construction for enumerated specs and
-    can be re-checked independently via the is_*_closed methods)."""
+    """A set of length-n words, kept sorted in packed form.  Codes built by
+    from_spec are the Z4-span of the generator rows, hence ideals; the
+    is_*_closed methods re-check the module operations on any word set."""
 
     def __init__(self, n: int, packed_words, spec: "CodeSpec | None" = None) -> None:
         self.n = n
@@ -205,30 +230,13 @@ class Code:
     def from_spec(cls, spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> "Code":
         spec.require_valid()
         n = spec.n
-        seeds: set[int] = set()
+        rows = []
         for gen in spec.generator_polys():
             packed = _poly_to_packed(gen, n)
             for _ in range(n):
-                for scalar in ALL_ELEMENTS:
-                    seeds.add(_scalar_mul_packed(scalar, packed, n))
+                rows += (packed, _scalar_mul_packed(U, packed, n))
                 packed = _rotate(packed, n)
-        seeds.discard(0)
-        mask = _every_byte(_ADD_NIBBLE_MASK, n)
-        words = {0}
-        frontier = [0]
-        seed_list = sorted(seeds)
-        while frontier:
-            w = frontier.pop()
-            for s in seed_list:
-                v = (w + s) & mask
-                if v not in words:
-                    if len(words) >= cap:
-                        raise EnumerationCapExceeded(
-                            f"code exceeds the {cap}-word enumeration cap"
-                        )
-                    words.add(v)
-                    frontier.append(v)
-        return cls(n, words, spec=spec)
+        return cls(n, _z4_span(rows, n, cap), spec=spec)
 
     # -- basic views ----------------------------------------------------------
 
@@ -303,26 +311,10 @@ class Code:
 
     def is_addition_closed(self) -> bool:
         """True iff the word set equals the additive group it generates."""
-        if 0 not in self._packed_set:
+        try:
+            return _z4_span(self.packed, self.n, len(self.packed)) == self._packed_set
+        except EnumerationCapExceeded:
             return False
-        mask = _every_byte(_ADD_NIBBLE_MASK, self.n)
-        group = {0}
-        for w in self.packed:
-            if w in group:
-                continue
-            extension = [w]
-            while extension:
-                v = extension.pop()
-                if v in group:
-                    continue
-                group.add(v)
-                if len(group) > len(self.packed):
-                    return False
-                for h in list(group):
-                    t = (h + v) & mask
-                    if t not in group:
-                        extension.append(t)
-        return group == set(self._packed_set)
 
     def describe(self) -> dict:
         return {

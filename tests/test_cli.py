@@ -405,8 +405,6 @@ def test_missing_required_flag_exits_two():
     "argv, message",
     [
         (["factor", "-1"], "n must be odd and positive, got -1"),
-        (["factor", "33"], "n = 33 exceeds the configured bound 31"),
-        (["factor", "9", "--max-n", "7"], "n = 9 exceeds the configured bound 7"),
         (["catalog", "4"], "n must be odd and positive, got 4"),
         (["catalog", "0"], "n must be odd and positive, got 0"),
         (["check", "--n", "3", "--g1", "[1"], "cannot parse --g1"),
@@ -423,6 +421,36 @@ def test_user_input_errors_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, n, max_n",
+    [
+        (["factor", "33"], 33, 31),
+        (["factor", "9", "--max-n", "7"], 9, 7),
+        (["catalog", "33"], 33, 31),
+        (["catalog", "9", "--max-n", "7"], 9, 7),
+        (["check", "--n", "33", "--g1", "[1]"], 33, 31),
+    ],
+)
+def test_n_above_max_n_exits_three(capsys, argv, n, max_n):
+    # The configured bound on n is a resource cap for every subcommand.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource cap exceeded: n = {n} exceeds the configured max_n = {max_n}\n"
+    )
+
+
+def test_subcode_comparison_errors_exit_four(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("subcode bug")
+
+    monkeypatch.setattr(cli, "subcode_deletion_distance_check", broken)
+    code, out, err = run(
+        capsys, "check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--deletion"
+    )
+    assert (code, out, err) == (4, "", "internal error: ValueError('subcode bug')\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dnacyclic.cli import iter_catalog_specs
 from dnacyclic.codes import (
@@ -16,6 +18,7 @@ from dnacyclic.codes import (
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
 from dnacyclic.ring import ALL_ELEMENTS, IDEAL_ONE_PLUS_U, ONE_PLUS_U, RingElement, ZERO
+from spec_strategies import code_specs
 
 
 def p4(text):
@@ -199,6 +202,19 @@ def test_enumeration_matches_direct_span_oracle():
         assert set(code.codewords) == direct_span(spec), spec.describe()
 
 
+@settings(max_examples=80, deadline=None)
+@given(code_specs())
+def test_enumeration_matches_direct_span_on_random_specs(spec):
+    assert spec.validate() == []
+    # The tuple oracle is slow, so only codes of at most 1,024 words are
+    # compared; the rest of the draws are discarded.
+    try:
+        code = Code.from_spec(spec, cap=1024)
+    except EnumerationCapExceeded:
+        assume(False)
+    assert set(code.codewords) == direct_span(spec), spec.describe()
+
+
 def test_zero_code():
     # g1 = x^3 - 1 is 0 in the quotient and g2 = 0, so only the zero word.
     code = Code.from_spec(spec_from(3, "[3,0,0,1]"))
@@ -216,6 +232,28 @@ def test_full_code():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         Code.from_spec(spec_from(3, "[1]"), cap=100)
+
+
+def test_enumeration_cap_boundary_is_exact_on_catalog_specs():
+    # A code of |C| words passes at cap |C| and is refused at cap |C| - 1.
+    checked = 0
+    for n in (1, 3, 5):
+        for spec in iter_catalog_specs(n):
+            try:
+                code = Code.from_spec(spec, cap=4096)
+            except EnumerationCapExceeded:
+                continue
+            size = code.cardinality
+            assert Code.from_spec(spec, cap=size) == code
+            if size == 1:
+                # The zero code has no row outside {0}; caps below 1 are
+                # refused by the CLI before enumeration.
+                continue
+            with pytest.raises(EnumerationCapExceeded) as excinfo:
+                Code.from_spec(spec, cap=size - 1)
+            assert str(excinfo.value) == f"code exceeds the {size - 1}-word enumeration cap"
+            checked += 1
+    assert checked > 100
 
 
 def test_invalid_spec_is_rejected_at_enumeration():
@@ -237,6 +275,54 @@ def test_codes_are_closed_under_module_operations():
         assert code.is_shift_closed()
         assert code.is_scalar_closed()
         assert code.is_addition_closed()
+
+
+# Length-2 words: the 256 elements of Z4^4 in packed form.
+WORDS2 = [encode_word(w) for w in itertools.product(ALL_ELEMENTS, repeat=2)]
+MASK2 = 0x3333
+
+
+def sum_closure(gens):
+    """The subgroup generated by gens: all sums of gens, found by adding
+    one generator at a time to every word reached so far."""
+    group = {0}
+    frontier = [0]
+    while frontier:
+        w = frontier.pop()
+        for g in gens:
+            v = (w + g) & MASK2
+            if v not in group:
+                group.add(v)
+                frontier.append(v)
+    return group
+
+
+@st.composite
+def word_sets(draw):
+    """Random word sets, subgroups, subgroups plus or minus one word, and
+    subgroups without 0."""
+    kind = draw(st.sampled_from(("random", "subgroup", "plus", "minus", "no_zero")))
+    if kind == "random":
+        return draw(st.sets(st.sampled_from(WORDS2), max_size=24))
+    group = sum_closure(draw(st.lists(st.sampled_from(WORDS2), max_size=3)))
+    if kind == "plus" and len(group) < len(WORDS2):
+        group.add(draw(st.sampled_from([w for w in WORDS2 if w not in group])))
+    elif kind == "minus":
+        group.discard(draw(st.sampled_from(sorted(group))))
+    elif kind == "no_zero":
+        group.discard(0)
+    return group
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_sets())
+@example(set())
+@example({0x2200})  # no zero word
+@example({0, 0x2200})  # (2+2u, 0) has order 2
+@example({0, 0x1100})  # (1+u, 0) has order 4
+def test_is_addition_closed_matches_pairwise_sums(words):
+    expected = 0 in words and all((a + b) & MASK2 in words for a in words for b in words)
+    assert Code(2, words).is_addition_closed() == expected
 
 
 def test_membership_and_equality():

@@ -1,12 +1,17 @@
 """Frozen stdout digests and exit codes of fixed CLI runs.
 
 Each case's sha256 of stdout and its exit code were recorded on the commit
-before the deletion layer moved from a pair sweep to shared deletion
-variants, so any change to the output bytes of these runs fails here.  The
-cases cover two default catalogs, a small widened-g2 catalog, and
-``check --deletion`` at both granularities on codes of constant words (the
-exact-sweep fallback), on the zero code (fewer than 2 words), on pool-sized
-codes whose nucleotide maximum is 2n-1 or 2n-2, and on both cap exits.
+before the layer it guards changed, so any change to the output bytes of
+these runs fails here.  The first group was recorded before the deletion
+layer moved from a pair sweep to shared deletion variants.  It covers two
+default catalogs, a small widened-g2 catalog, and ``check --deletion`` at
+both granularities on codes of constant words (the exact-sweep fallback), on
+the zero code (fewer than 2 words), on pool-sized codes whose nucleotide
+maximum is 2n-1 or 2n-2, and on both cap exits.  The second group was
+recorded before enumeration moved from a breadth-first closure to the Z4
+span of the generator rows: ``tables`` in both formats, ``--emit-words``,
+a spec the condition checkers refuse (deg g2 > deg g1, exit 1), and
+``catalog 7 --cap 1024``, whose ``skipped`` entries pin the cap message.
 
 A change that means to alter one of these outputs says so in CHANGES.md and
 re-records only that case.
@@ -42,6 +47,13 @@ FROZEN = [
     (["check", "--n", "9", "--g1", "[1,1,1,1,1,1,1,1,1]", "--g2", "[1,1,1,1,1,1,1,1,1]", "--deletion", "--granularity", "nucleotide", "--json"], 0, "9a3e5745dbcadcd48c8f726b5357e3a532cdd831129385d4149952261fb3a82d"),
     (["check", "--n", "3", "--g1", "[1]", "--cap", "5000", "--deletion"], 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--deletion", "--pair-cap", "10"], 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["tables"], 0, "d0c1af0be7e85eb411c26652bf5c5a85785346d4d58081085928e54b87e0bd2c"),
+    (["tables", "--json"], 0, "ca7981a1387ef311a9dbb4147aa255c2e7ba6b8ad8e2915602faaf4ac520a758"),
+    (["check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]", "--emit-words"], 0, "0319ad6d246664b7ab73821d982b2bacda31e879f38499b301eba9898f70febf"),
+    (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--emit-words", "--json"], 0, "8e0c0ebd6120cdb17d83d71d7d4834afc4e1e4654a1bf8ccfb8349e693a53371"),
+    (["check", "--n", "3", "--g1", "[3,1]", "--g2", "[1,1,1]", "--reversible", "--rc"], 1, "edb43c8d9f9e6ee901b20680e4cb9988349b825119bbc320851e995aaa3b456d"),
+    (["check", "--n", "3", "--g1", "[3,1]", "--g2", "[1,1,1]", "--reversible", "--rc", "--json"], 1, "4873d145ccf9936ae82377598129036a3f43d2a76165af57f190021ebcd07a78"),
+    (["catalog", "7", "--cap", "1024", "--json"], 0, "42837cf1ad4a076b0b14dff538fb76805689532752e90e2e3c648c4656b4380a"),
 ]
 
 
