@@ -123,16 +123,9 @@ def load_caps(config_path: "str | None", args: argparse.Namespace) -> Caps:
     return caps
 
 
-def _parse_poly_z4(text: str, what: str) -> PolyZ4:
+def _parse_poly(cls, text: str, what: str):
     try:
-        return PolyZ4.from_string(text)
-    except ValueError as exc:
-        raise CliParseError(f"cannot parse {what}: {exc}") from exc
-
-
-def _parse_poly_r(text: str, what: str) -> PolyR:
-    try:
-        return PolyR.from_string(text)
+        return cls.from_string(text)
     except ValueError as exc:
         raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
@@ -185,9 +178,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> CodeSpec:
-    g1 = _parse_poly_z4(args.g1, "--g1")
-    g2 = _parse_poly_r(args.g2, "--g2")
-    g3 = _parse_poly_z4(args.g3, "--g3") if args.g3 is not None else None
+    g1 = _parse_poly(PolyZ4, args.g1, "--g1")
+    g2 = _parse_poly(PolyR, args.g2, "--g2")
+    g3 = _parse_poly(PolyZ4, args.g3, "--g3") if args.g3 is not None else None
     return CodeSpec(
         n=args.n, g1=g1, g2=g2, g3=g3, strict_z4_divisibility=args.strict
     )
@@ -239,7 +232,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 exit_code, _run_condition_section(spec, code, doc, lines, reversible=False)
             )
         if args.gc:
-            spectrum = gc_spectrum(code, image="theta")
+            spectrum = gc_spectrum(code)
             doc["gc_spectrum"] = {"theta": spectrum}
             lines.append(
                 "gc_spectrum theta "
@@ -438,7 +431,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
                 }
             except SpecError as exc:
                 entry[name] = {"error": str(exc)}
-        entry["gc_spectrum"] = gc_spectrum(code, image="theta")
+        entry["gc_spectrum"] = gc_spectrum(code)
         for granularity in ("symbol", "nucleotide"):
             key = f"deletion_distance_{granularity}"
             if code.cardinality < 2:

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .polynomials import PolyR, PolyZ4
-from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, U, RingElement
+from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, RingElement
 
 Codeword = tuple[RingElement, ...]
 
@@ -81,7 +81,10 @@ def _scalar_mul_packed(scalar: RingElement, packed: int, n: int) -> int:
 
 
 def _word_weight(packed: int, n: int) -> int:
-    return sum(1 for byte in packed.to_bytes(n, "big") if byte)
+    """Hamming weight: the four digit bits of each byte (0, 1, 4, 5) are
+    folded onto bit 0, which is then set exactly when the byte is nonzero."""
+    w = packed
+    return ((w | w >> 1 | w >> 4 | w >> 5) & _every_byte(0x01, n)).bit_count()
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,6 +101,13 @@ def reverse_complement_packed(packed: int, n: int) -> int:
     """The reversed word of coordinatewise complements (1+u) - x; on each
     Z4 digit 1 - d (mod 4) is d ^ 1."""
     return reverse_packed(packed ^ _every_byte(0x11, n), n)
+
+
+def u_times_packed(packed: int, n: int) -> int:
+    """u * w: each coordinate a + ub becomes b + ua, i.e. the two nibbles of
+    every byte swap."""
+    low = _every_byte(0x0F, n)
+    return ((packed >> 4) & low) | ((packed & low) << 4)
 
 
 def theta_packed(packed: int, n: int) -> str:
@@ -125,6 +135,8 @@ def _z4_span(rows, n: int, cap: int) -> set[int]:
     and 4 otherwise.  The cosets span + t*r for t < order are disjoint, so
     each step's size is exact and no word past the cap is ever built.
     """
+    if cap < 1:
+        raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
     mask = _every_byte(_ADD_NIBBLE_MASK, n)
     span = {0}
     for r in rows:
@@ -234,7 +246,7 @@ class Code:
         for gen in spec.generator_polys():
             packed = _poly_to_packed(gen, n)
             for _ in range(n):
-                rows += (packed, _scalar_mul_packed(U, packed, n))
+                rows += (packed, u_times_packed(packed, n))
                 packed = _rotate(packed, n)
         return cls(n, _z4_span(rows, n, cap), spec=spec)
 

@@ -78,21 +78,15 @@ def phi_image(word: Codeword) -> str:
     )
 
 
-IMAGE_MAPS = {"theta": theta_image, "phi": phi_image}
-
-
 def gc_content(strand: str) -> int:
     return sum(1 for c in strand if c in "GC")
 
 
-def gc_spectrum(code: Code, image: str = "theta") -> dict[int, int]:
+def gc_spectrum(code: Code) -> dict[int, int]:
     """Multiplicity of each GC count over the code's DNA images.
 
-    theta and phi images hold the same letters, so both spectra are the
-    packed GC count's.
+    theta and phi images hold the same letters, so one spectrum serves both.
     """
-    if image not in IMAGE_MAPS:
-        raise KeyError(image)
     counts = Counter(gc_count_packed(w, code.n) for w in code.packed)
     return dict(sorted(counts.items()))
 

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import Code, decode_word, reverse_complement_packed, theta_packed
+from .codes import (
+    Code,
+    decode_word,
+    reverse_complement_packed,
+    theta_packed,
+    u_times_packed,
+)
 from .constraints import dna_reverse_complement
 
 #: Default bound on the number of sequence pairs examined per report.
@@ -269,15 +275,17 @@ class DnaCodeReport:
 
 
 def _rc_condition(code: Code, granularity: str) -> bool:
-    if granularity == "symbol":
-        return all(
-            (rc := reverse_complement_packed(w, code.n)) != w and rc in code
-            for w in code.packed
-        )
-    images = set(_sequences(code, granularity))
-    return all(
-        (rc := dna_reverse_complement(s)) in images and rc != s for s in images
-    )
+    """Every sequence's reverse complement is another sequence of the code.
+
+    The DNA reverse complement of theta(w) is theta(u * rc(w)): reversing
+    the 2n letters also swaps the two letters of each codon."""
+    n = code.n
+
+    def rc(w: int) -> int:
+        r = reverse_complement_packed(w, n)
+        return r if granularity == "symbol" else u_times_packed(r, n)
+
+    return all((r := rc(w)) != w and r in code for w in code.packed)
 
 
 def dna_code_report(

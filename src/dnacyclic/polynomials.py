@@ -2,7 +2,10 @@
 
 Coefficient lists are dense and ascending (index i holds the coefficient of
 x^i) with trailing zeros trimmed; the zero polynomial has an empty list and
-degree None.  The text grammar is the bracket form "[c0,c1,...]": Z4 entries
+degree None.  One body serves both rings: PolyZ4 and PolyR share every
+arithmetic method and differ only in how a coefficient is parsed and
+reduced, in their scalars and units, and in what is specific to Z4 (the
+mod-2 image, evaluation, x^n - 1, the signed power form).  The text grammar is the bracket form "[c0,c1,...]": Z4 entries
 are integers, ring entries are "a+bu" or "(a,b)", e.g. "[3,1]" is x+3 and
 "[(1,0),(1,1)]" is 1 + (1+u)x.
 
@@ -16,9 +19,8 @@ The product of the lifts is checked against x^n - 1 before returning.
 from __future__ import annotations
 
 import functools
-import re
 
-from .ring import ONE, UNITS, ZERO, RingElement
+from .ring import ONE, UNITS, RingElement
 
 #: Default bound on the code length n accepted by the factor routines.
 #: Enumeration cost downstream grows fast; callers may pass a larger bound.
@@ -50,31 +52,38 @@ def _split_bracket_list(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-class PolyZ4:
-    """A polynomial with coefficients in Z4."""
+def _ring_coeff(c: "RingElement | int") -> RingElement:
+    return c if isinstance(c, RingElement) else RingElement(c)
+
+
+class _Poly:
+    """The dense arithmetic shared by PolyZ4 and PolyR.
+
+    A subclass names its coefficient ring through four class attributes:
+    _parse reads one bracket-list entry, _reduce maps any sum or product of
+    coefficients to its canonical ring element, _scalars are the types
+    accepted by scalar multiplication and _units are the ring's units.
+    Intermediate sums may be left unreduced; the constructor reduces them.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: "list[int] | tuple[int, ...]" = ()) -> None:
-        cs = [c % 4 for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs=()) -> None:
+        cs = list(map(self._reduce, coeffs))
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyZ4 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def from_string(cls, text: str) -> "PolyZ4":
-        return cls([int(p) for p in _split_bracket_list(text)])
+    def from_string(cls, text: str):
+        return cls([cls._parse(p) for p in _split_bracket_list(text)])
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "PolyZ4":
+    def monomial(cls, degree: int, coeff=1):
         return cls([0] * degree + [coeff])
-
-    @classmethod
-    def xn_minus_1(cls, n: int) -> "PolyZ4":
-        return cls([3] + [0] * (n - 1) + [1])
 
     # -- basic structure ------------------------------------------------------
 
@@ -91,10 +100,10 @@ class PolyZ4:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyZ4) and self.coeffs == other.coeffs
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(("PolyZ4", self.coeffs))
+        return hash((type(self).__name__, self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -102,90 +111,78 @@ class PolyZ4:
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
-    def __repr__(self) -> str:
-        return f"PolyZ4({list(self.coeffs)})"
-
-    def to_power_str(self, var: str = "x", signed: bool = False) -> str:
-        return _power_str(self.coeffs, var, signed=signed)
-
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "PolyZ4") -> "PolyZ4":
+    def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % 4
-        return PolyZ4(out)
+            out[i] = out[i] + c
+        return type(self)(out)
 
-    def __neg__(self) -> "PolyZ4":
-        return PolyZ4([-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
 
-    def __sub__(self, other: "PolyZ4") -> "PolyZ4":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "PolyZ4 | int") -> "PolyZ4":
-        if isinstance(other, int):
-            return PolyZ4([c * other for c in self.coeffs])
-        if not isinstance(other, PolyZ4):
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return type(self)([c * other for c in self.coeffs])
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return PolyZ4()
+            return type(self)()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + ci * cj) % 4
-        return PolyZ4(out)
+                    out[i + j] = out[i + j] + ci * cj
+        return type(self)(out)
 
-    def __rmul__(self, other: int) -> "PolyZ4":
+    def __rmul__(self, other):
         return self * other
 
-    def divmod_monic(self, divisor: "PolyZ4") -> "tuple[PolyZ4, PolyZ4]":
+    def divmod_monic(self, divisor):
         """Long division by a monic divisor; returns (quotient, remainder)."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if not divisor.is_monic:
             raise ValueError(f"divisor must be monic, got {divisor}")
+        cls = type(self)
         dd = divisor.degree
         rem = list(self.coeffs)
         if len(rem) <= dd:
-            return PolyZ4(), self
+            return cls(), self
         q = [0] * (len(rem) - dd)
         for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd]
+            c = self._reduce(rem[k + dd])
             if c:
                 q[k] = c
                 for j, dj in enumerate(divisor.coeffs):
-                    rem[k + j] = (rem[k + j] - c * dj) % 4
-        return PolyZ4(q), PolyZ4(rem)
+                    rem[k + j] = rem[k + j] - c * dj
+        return cls(q), cls(rem)
 
-    def divides(self, other: "PolyZ4") -> bool:
-        """True iff self (monic) divides other exactly over Z4."""
+    def divides(self, other) -> bool:
+        """True iff self (monic) divides other exactly."""
         return other.divmod_monic(self)[1].is_zero
 
-    def divides_mod2(self, other: "PolyZ4") -> bool:
-        """True iff self divides other after reducing both mod 2."""
-        d2 = self.reduce_mod2()
-        if d2 == 0:
-            raise ValueError(f"{self} vanishes mod 2")
-        return bpoly_mod(other.reduce_mod2(), d2) == 0
-
-    def mod_xn_minus_1(self, n: int) -> "PolyZ4":
+    def mod_xn_minus_1(self, n: int):
         out = [0] * n
         for i, c in enumerate(self.coeffs):
-            out[i % n] = (out[i % n] + c) % 4
-        return PolyZ4(out)
+            out[i % n] = out[i % n] + c
+        return type(self)(out)
 
-    def reciprocal(self) -> "PolyZ4":
+    def reciprocal(self):
         """x^deg(f) * f(1/x): the coefficient sequence reversed (0 -> 0)."""
-        return PolyZ4(list(reversed(self.coeffs)))
+        return type(self)(list(reversed(self.coeffs)))
 
-    def self_reciprocal_witness(self) -> "int | None":
+    def self_reciprocal_witness(self):
         """The unit m with reciprocal(f) = m*f, or None if there is none."""
         rec = self.reciprocal()
-        for m in Z4_UNITS:
+        for m in self._units:
             if rec == self * m:
                 return m
         return None
@@ -193,6 +190,33 @@ class PolyZ4:
     @property
     def is_self_reciprocal(self) -> bool:
         return self.self_reciprocal_witness() is not None
+
+
+class PolyZ4(_Poly):
+    """A polynomial with coefficients in Z4."""
+
+    __slots__ = ()
+    _parse = int
+    _reduce = staticmethod(lambda c: c % 4)
+    _scalars = int
+    _units = Z4_UNITS
+
+    @classmethod
+    def xn_minus_1(cls, n: int) -> "PolyZ4":
+        return cls([3] + [0] * (n - 1) + [1])
+
+    def __repr__(self) -> str:
+        return f"PolyZ4({list(self.coeffs)})"
+
+    def to_power_str(self, var: str = "x", signed: bool = False) -> str:
+        return _power_str(self.coeffs, var, signed=signed)
+
+    def divides_mod2(self, other: "PolyZ4") -> bool:
+        """True iff self divides other after reducing both mod 2."""
+        d2 = self.reduce_mod2()
+        if d2 == 0:
+            raise ValueError(f"{self} vanishes mod 2")
+        return bpoly_mod(other.reduce_mod2(), d2) == 0
 
     def reduce_mod2(self) -> int:
         """The mod-2 image as a little-endian bitmask integer."""
@@ -203,7 +227,7 @@ class PolyZ4:
         return mask
 
     def to_ring_poly(self) -> "PolyR":
-        return PolyR([RingElement(c, 0) for c in self.coeffs])
+        return PolyR(self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -212,131 +236,20 @@ class PolyZ4:
         return acc
 
 
-class PolyR:
+class PolyR(_Poly):
     """A polynomial with coefficients in Z4 + u*Z4."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: "list[RingElement] | tuple[RingElement, ...]" = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1] == ZERO:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyR is immutable")
-
-    @classmethod
-    def from_string(cls, text: str) -> "PolyR":
-        return cls([RingElement.from_string(p) for p in _split_bracket_list(text)])
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RingElement = ONE) -> "PolyR":
-        return cls([ZERO] * degree + [coeff])
-
-    @property
-    def degree(self) -> "int | None":
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyR) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("PolyR", self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+    __slots__ = ()
+    _parse = staticmethod(RingElement.from_string)
+    _reduce = staticmethod(_ring_coeff)
+    _scalars = (RingElement, int)
+    _units = UNITS
 
     def __repr__(self) -> str:
         return f"PolyR.from_string({str(self)!r})"
 
     def to_power_str(self, var: str = "x") -> str:
         return _power_str(self.coeffs, var, signed=False)
-
-    def __add__(self, other: "PolyR") -> "PolyR":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyR(out)
-
-    def __neg__(self) -> "PolyR":
-        return PolyR([-c for c in self.coeffs])
-
-    def __sub__(self, other: "PolyR") -> "PolyR":
-        return self + (-other)
-
-    def __mul__(self, other: "PolyR | RingElement | int") -> "PolyR":
-        if isinstance(other, (RingElement, int)):
-            return PolyR([c * other for c in self.coeffs])
-        if not isinstance(other, PolyR):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PolyR()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + ci * cj
-        return PolyR(out)
-
-    def __rmul__(self, other: "RingElement | int") -> "PolyR":
-        return self * other
-
-    def divmod_monic(self, divisor: "PolyR") -> "tuple[PolyR, PolyR]":
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not divisor.is_monic:
-            raise ValueError(f"divisor must be monic, got {divisor}")
-        dd = divisor.degree
-        rem = list(self.coeffs)
-        if len(rem) <= dd:
-            return PolyR(), self
-        q = [ZERO] * (len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd]
-            if c:
-                q[k] = c
-                for j, dj in enumerate(divisor.coeffs):
-                    rem[k + j] = rem[k + j] - c * dj
-        return PolyR(q), PolyR(rem)
-
-    def divides(self, other: "PolyR") -> bool:
-        return other.divmod_monic(self)[1].is_zero
-
-    def mod_xn_minus_1(self, n: int) -> "PolyR":
-        out = [ZERO] * n
-        for i, c in enumerate(self.coeffs):
-            out[i % n] = out[i % n] + c
-        return PolyR(out)
-
-    def reciprocal(self) -> "PolyR":
-        """x^deg(f) * f(1/x): the coefficient sequence reversed (0 -> 0)."""
-        return PolyR(list(reversed(self.coeffs)))
-
-    def self_reciprocal_witness(self) -> "RingElement | None":
-        rec = self.reciprocal()
-        for m in UNITS:
-            if rec == self * m:
-                return m
-        return None
-
-    @property
-    def is_self_reciprocal(self) -> bool:
-        return self.self_reciprocal_witness() is not None
 
 
 def _power_str(coeffs, var: str, signed: bool) -> str:

@@ -245,10 +245,6 @@ def test_enumeration_cap_boundary_is_exact_on_catalog_specs():
                 continue
             size = code.cardinality
             assert Code.from_spec(spec, cap=size) == code
-            if size == 1:
-                # The zero code has no row outside {0}; caps below 1 are
-                # refused by the CLI before enumeration.
-                continue
             with pytest.raises(EnumerationCapExceeded) as excinfo:
                 Code.from_spec(spec, cap=size - 1)
             assert str(excinfo.value) == f"code exceeds the {size - 1}-word enumeration cap"

@@ -12,6 +12,9 @@ recorded before enumeration moved from a breadth-first closure to the Z4
 span of the generator rows: ``tables`` in both formats, ``--emit-words``,
 a spec the condition checkers refuse (deg g2 > deg g1, exit 1), and
 ``catalog 7 --cap 1024``, whose ``skipped`` entries pin the cap message.
+The third group was recorded before ``PolyZ4`` and ``PolyR`` came to share
+one arithmetic body: ``factor N`` in both formats for N in {1, 3, 7, 9, 15,
+21, 23, 31}, and a ``--strict`` refusal of a non-divisor (exit 1).
 
 A change that means to alter one of these outputs says so in CHANGES.md and
 re-records only that case.
@@ -54,6 +57,23 @@ FROZEN = [
     (["check", "--n", "3", "--g1", "[3,1]", "--g2", "[1,1,1]", "--reversible", "--rc"], 1, "edb43c8d9f9e6ee901b20680e4cb9988349b825119bbc320851e995aaa3b456d"),
     (["check", "--n", "3", "--g1", "[3,1]", "--g2", "[1,1,1]", "--reversible", "--rc", "--json"], 1, "4873d145ccf9936ae82377598129036a3f43d2a76165af57f190021ebcd07a78"),
     (["catalog", "7", "--cap", "1024", "--json"], 0, "42837cf1ad4a076b0b14dff538fb76805689532752e90e2e3c648c4656b4380a"),
+    (["factor", "1"], 0, "f2f459aa97efde88b6d799e4b448653d2cbfc05f82b3ce956c45ded49cee7b42"),
+    (["factor", "1", "--json"], 0, "50f97c986d33343cc104abab8356362f223c511fee4e58e55e9ca1a6e8beff2b"),
+    (["factor", "3"], 0, "badcf247a4f14f1da6f904bdf06c92d29654e0d20a050ecae616b4c10906b986"),
+    (["factor", "3", "--json"], 0, "836783f8cbba9480c054f68715b2ede423a155ecf2d22bdd25b3ab9b31ff571b"),
+    (["factor", "7"], 0, "6f6b47d2c49649868599f263b50ca352663a8a85df12f652b00d69bddb1593a8"),
+    (["factor", "7", "--json"], 0, "ed67081e4e7520a81a2be0857dfc9a6fa5acf91c39c3393275b96c0e4eb6b25b"),
+    (["factor", "9"], 0, "0da8034cc265cdf8ad641d86173ddae529431ce19a7f22a148bf22bdf626bff8"),
+    (["factor", "9", "--json"], 0, "88061ac5ac8e32fd8ecfcea7c065735a7d2d69266ae4e9609a632c702d2900a4"),
+    (["factor", "15"], 0, "53c0ec5806f54c8b03fe52f9adf669ff5259afba355a28706dcbcc21454b5ba1"),
+    (["factor", "15", "--json"], 0, "f468d521069919205c8571ee22ba4e367816f9f6dbf3663ff1338053d1ddfbe5"),
+    (["factor", "21"], 0, "ba3493433908b0955a76e23e97b337eedac907042156fdb3847181aac3cb03ac"),
+    (["factor", "21", "--json"], 0, "e67e123a863a4f58b8fb9c70d9fbc9e63242970eb9919280bb1f621f3eed87ca"),
+    (["factor", "23"], 0, "38cbc106de453d4c5e8cab5e14e091bcdd06c7161c4b193616462835add802ea"),
+    (["factor", "23", "--json"], 0, "aae9db60ebbb42fcbd16b06c6cdef8b3c56cd3879e32e550a7783997963b1e37"),
+    (["factor", "31"], 0, "2b0cbc550a31a00bbfa37440c2d367f4a232a4875a125b1493570d902922612f"),
+    (["factor", "31", "--json"], 0, "95e68c224099cd1d6eaf06157a2e84b4e105ad74b0a1700ab4314db4cc6ea6f4"),
+    (["check", "--n", "3", "--g1", "[1,1]", "--strict"], 1, "3794dcf738f0110b6058d4a4f3f551439fcdf0699f41425ba0af0e9a8dfa500a"),
 ]
 
 

@@ -5,6 +5,7 @@ dnacyclic.constraints are kept as the independent reference here.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -13,14 +14,17 @@ from dnacyclic.cli import iter_catalog_specs
 from dnacyclic.codes import (
     Code,
     EnumerationCapExceeded,
+    _word_weight,
     encode_word,
     gc_count_packed,
     is_one_plus_u_multiple_packed,
     reverse_complement_packed,
     reverse_packed,
     theta_packed,
+    u_times_packed,
 )
 from dnacyclic.constraints import (
+    dna_reverse_complement,
     gc_content,
     gc_spectrum,
     is_rc_closed_bruteforce,
@@ -30,8 +34,13 @@ from dnacyclic.constraints import (
     reverse_word,
     theta_image,
 )
-from dnacyclic.deletion import code_similarity_report, lcs_length
-from dnacyclic.ring import ALL_ELEMENTS, IDEAL_ONE_PLUS_U
+from dnacyclic.deletion import (
+    GRANULARITIES,
+    _rc_condition,
+    code_similarity_report,
+    lcs_length,
+)
+from dnacyclic.ring import ALL_ELEMENTS, IDEAL_ONE_PLUS_U, U, RingElement
 
 SMALL_CAP = 4096
 
@@ -58,6 +67,8 @@ def test_packed_transforms_match_tuple_transforms_exhaustively():
             reverse_complement_word(word)
         )
         assert theta_packed(w, n) == theta_image(word)
+        assert u_times_packed(w, n) == encode_word(tuple(U * e for e in word))
+        assert _word_weight(w, n) == sum(1 for e in word if e)
         assert gc_count_packed(w, n) == gc_content(theta_image(word))
         assert gc_count_packed(w, n) == gc_content(phi_image(word))
         assert is_one_plus_u_multiple_packed(w, n) == all(
@@ -75,13 +86,51 @@ def test_packed_oracles_match_tuple_oracles_on_small_catalog_codes(small_codes):
         assert is_rc_closed_bruteforce(code) == all(
             reverse_complement_word(w) in words for w in words
         )
-        for image, image_map in (("theta", theta_image), ("phi", phi_image)):
+        for image_map in (theta_image, phi_image):
             expected = Counter(gc_content(image_map(w)) for w in words)
-            assert gc_spectrum(code, image=image) == dict(sorted(expected.items()))
+            assert gc_spectrum(code) == dict(sorted(expected.items()))
         subcode = code.subcode_one_plus_u()
         assert set(subcode.codewords) == {
             w for w in words if all(e in IDEAL_ONE_PLUS_U for e in w)
         }
+
+
+def string_rc_condition(code, granularity):
+    """The reverse-complement condition of a DNA code on tuple words at
+    symbol granularity and on theta strings at nucleotide granularity."""
+    if granularity == "symbol":
+        seqs, rc = set(code.codewords), reverse_complement_word
+    else:
+        seqs = {theta_image(w) for w in code.codewords}
+        rc = dna_reverse_complement
+    return all((r := rc(s)) in seqs and r != s for s in seqs)
+
+
+def test_packed_rc_condition_matches_string_condition(small_codes):
+    # Catalog codes, plus random word sets, some closed under one of the
+    # two reverse complements so that both verdicts occur.
+    rng = random.Random(5)
+    codes = list(small_codes)
+    for _ in range(400):
+        n = rng.randrange(1, 5)
+        words = [tuple(rng.choices(ALL_ELEMENTS, k=n)) for _ in range(rng.randrange(1, 6))]
+        closure = rng.choice(GRANULARITIES + (None,))
+        if closure == "symbol":
+            words += [reverse_complement_word(w) for w in words]
+        elif closure == "nucleotide":
+            strands = [dna_reverse_complement(theta_image(w)) for w in words]
+            words += [
+                tuple(RingElement.from_codon(s[i : i + 2]) for i in range(0, 2 * n, 2))
+                for s in strands
+            ]
+        codes.append(Code(n, map(encode_word, words)))
+    verdicts = Counter()
+    for code in codes:
+        for granularity in GRANULARITIES:
+            verdict = _rc_condition(code, granularity)
+            assert verdict == string_rc_condition(code, granularity)
+            verdicts[granularity, verdict] += 1
+    assert len(verdicts) == 4
 
 
 def tuple_symbol_sweep(code):

@@ -5,6 +5,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnacyclic.polynomials import (
     MAX_N_DEFAULT,
@@ -329,6 +331,40 @@ def test_ring_poly_divmod_roundtrip():
         q, r = f.divmod_monic(d)
         assert q * d + r == f
         assert r.degree is None or r.degree < d.degree
+
+
+z4_polys = st.lists(st.integers(0, 3), max_size=7).map(PolyZ4)
+monic_z4_polys = st.lists(st.integers(0, 3), max_size=4).map(lambda cs: PolyZ4(cs + [1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z4_polys, z4_polys, monic_z4_polys, st.integers(-5, 5), st.integers(1, 9))
+def test_ring_embedding_commutes_with_shared_operations(f, g, d, k, n):
+    # PolyZ4 and PolyR run one arithmetic body with different coefficient
+    # reductions; embedding Z4 into R must commute with every operation.
+    def lift(p):
+        return p.to_ring_poly()
+
+    assert lift(f + g) == lift(f) + lift(g)
+    assert lift(-f) == -lift(f)
+    assert lift(f - g) == lift(f) - lift(g)
+    assert lift(f * g) == lift(f) * lift(g)
+    assert lift(f * k) == lift(f) * k == lift(f) * RingElement(k)
+    assert lift(k * f) == k * lift(f)
+    q, r = f.divmod_monic(d)
+    assert (lift(q), lift(r)) == lift(f).divmod_monic(lift(d))
+    assert lift(f.mod_xn_minus_1(n)) == lift(f).mod_xn_minus_1(n)
+    assert lift(f.reciprocal()) == lift(f).reciprocal()
+    assert f.is_self_reciprocal == lift(f).is_self_reciprocal
+
+
+def test_z4_poly_never_equals_its_ring_embedding():
+    for text in ("[]", "[1]", "[3,1]", "[1,1,1]", "[2,0,3]"):
+        f = p4(text)
+        lifted = f.to_ring_poly()
+        assert str(f) == str(lifted)
+        assert f != lifted and lifted != f
+        assert len({f, lifted}) == 2
 
 
 def test_factor_mod2_matches_sympy_for_odd_n_to_127():

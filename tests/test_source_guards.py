@@ -19,3 +19,15 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_poly_classes_define_no_method_twice():
+    # PolyZ4 and PolyR inherit one arithmetic body; only their rendering is
+    # written per ring, so any other method defined in both is a duplicate.
+    path = Path(dnacyclic.__file__).parent / "polynomials.py"
+    classes = {
+        node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert classes["PolyZ4"] & classes["PolyR"] <= {"__repr__", "to_power_str"}
