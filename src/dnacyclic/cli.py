@@ -6,6 +6,9 @@ Subcommands:
   catalog  sweep all specs for one n over the divisor lattice
   tables   print the codon correspondence and the two worked code tables
 
+Each subcommand builds one document; ``main`` prints it as JSON under --json
+and otherwise prints the subcommand's text renderer applied to it.
+
 Exit codes: 0 success (and every requested verdict true), 1 a requested
 verdict is false or the spec is invalid, 2 usage or parse error, 3 a
 configured resource cap was exceeded, 4 an internal error (a bug).
@@ -145,187 +148,183 @@ def _require_valid_n(n: int, max_n: int) -> None:
         raise CliParseError(str(exc)) from exc
 
 
+# The verdicts of a condition report that both check and catalog show.
+_VERDICTS = ("brute_force", "theorem_verdict", "agreement")
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _condition_report(spec: CodeSpec, code: Code, name: str):
+    """The reversible or reverse_complement checker's report on the code, or
+    the SpecError with which it refused the spec."""
+    checker = reversible_check if name == "reversible" else reverse_complement_check
+    try:
+        return checker(spec, code=code)
+    except SpecError as exc:
+        # Without its traceback the error keeps no frame, and no code, alive.
+        return exc.with_traceback(None)
+
+
+def _similarity(code: Code, granularity: str, caps: Caps):
+    """The code's similarity report, or None for a code of fewer than 2
+    words.  PairCapExceeded propagates."""
+    if code.cardinality < 2:
+        return None
+    return code_similarity_report(code, granularity, pair_cap=caps.pair_cap)
 
 
 # -- factor ---------------------------------------------------------------------
 
 
-def cmd_factor(args: argparse.Namespace) -> int:
+def cmd_factor(args: argparse.Namespace) -> "tuple[dict, int]":
     caps = load_caps(args.config, args)
     _require_valid_n(args.n, caps.max_n)
     mod2 = factor_xn_minus_1_mod2(args.n, max_n=caps.max_n)
     z4 = factor_xn_minus_1_z4(args.n, max_n=caps.max_n)
-    if args.json:
-        doc = {
-            "command": "factor",
-            "n": args.n,
-            "mod2_factors": [str(f) for f in mod2],
-            "z4_factors": [str(f) for f in z4],
-            "z4_factors_power_form": [f.to_power_str() for f in z4],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"n {args.n}")
-        print("binary factors: " + ", ".join(str(f) for f in mod2))
-        print("z4 factors: " + ", ".join(str(f) for f in z4))
-        print("z4 factors (power form): " + "; ".join(f.to_power_str() for f in z4))
-    return 0
+    return {
+        "command": "factor",
+        "n": args.n,
+        "mod2_factors": [str(f) for f in mod2],
+        "z4_factors": [str(f) for f in z4],
+        "z4_factors_power_form": [f.to_power_str() for f in z4],
+    }, 0
+
+
+def _factor_lines(doc: dict) -> "list[str]":
+    return [
+        f"n {doc['n']}",
+        "binary factors: " + ", ".join(doc["mod2_factors"]),
+        "z4 factors: " + ", ".join(doc["z4_factors"]),
+        "z4 factors (power form): " + "; ".join(doc["z4_factors_power_form"]),
+    ]
 
 
 # -- check ----------------------------------------------------------------------
 
 
-def _spec_from_args(args: argparse.Namespace) -> CodeSpec:
-    g1 = _parse_poly(PolyZ4, args.g1, "--g1")
-    g2 = _parse_poly(PolyR, args.g2, "--g2")
-    g3 = _parse_poly(PolyZ4, args.g3, "--g3") if args.g3 is not None else None
-    return CodeSpec(
-        n=args.n, g1=g1, g2=g2, g3=g3, strict_z4_divisibility=args.strict
-    )
-
-
-def _word_str(word) -> str:
-    return ",".join(str(e) for e in word)
-
-
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> "tuple[dict, int]":
     caps = load_caps(args.config, args)
     _require_n_within_max(args.n, caps.max_n)
-    spec = _spec_from_args(args)
-    doc: dict = {"command": "check", "spec": spec.describe()}
-    lines: list[str] = []
-    g3_text = "-" if spec.g3 is None else str(spec.g3)
-    lines.append(f"spec n={spec.n} g1={spec.g1} g2={spec.g2} g3={g3_text}")
-
+    spec = CodeSpec(
+        n=args.n,
+        g1=_parse_poly(PolyZ4, args.g1, "--g1"),
+        g2=_parse_poly(PolyR, args.g2, "--g2"),
+        g3=None if args.g3 is None else _parse_poly(PolyZ4, args.g3, "--g3"),
+        strict_z4_divisibility=args.strict,
+    )
     problems = spec.validate()
-    doc["valid"] = not problems
-    doc["validation_errors"] = problems
-    lines.append(f"valid {_yn(not problems)}")
-    exit_code = 0
+    doc: dict = {
+        "command": "check",
+        "spec": spec.describe(),
+        "valid": not problems,
+        "validation_errors": problems,
+    }
     if problems:
-        for p in problems:
-            lines.append(f"  problem: {p}")
-        exit_code = 1
-    else:
-        code = Code.from_spec(spec, cap=caps.enumeration_cap)
-        doc["code"] = code.describe()
-        lines.append(f"cardinality {code.cardinality}")
-        dist = code.min_hamming_distance
-        lines.append(
-            "min_hamming_distance "
-            + ("undefined (zero code)" if dist is None else str(dist))
-        )
-        lines.append(
-            "weight_enumerator ["
-            + ",".join(str(c) for c in code.weight_enumerator)
-            + "]"
-        )
+        return doc, 1
+    exit_code = 0
+    code = Code.from_spec(spec, cap=caps.enumeration_cap)
+    doc["code"] = code.describe()
+    requested = (("reversible", args.reversible), ("reverse_complement", args.rc))
+    for name in [name for name, on in requested if on]:
+        report = _condition_report(spec, code, name)
+        refused = isinstance(report, SpecError)
+        doc[name] = {"error": str(report)} if refused else report.describe()
+        if refused or not report.brute_force:
+            exit_code = 1
+    if args.gc:
+        doc["gc_spectrum"] = {"theta": gc_spectrum(code)}
+    if args.deletion:
+        report = _similarity(code, args.granularity, caps)
+        if report is None:
+            doc["deletion"] = {"error": "deletion metrics need at least 2 codewords"}
+        else:
+            doc["deletion"] = {
+                "similarity": report.describe(),
+                "dna_code": dna_code_report(
+                    code,
+                    report.deletion_distance,
+                    args.granularity,
+                    pair_cap=caps.pair_cap,
+                    similarity=report,
+                ).describe(),
+                "subcode": subcode_deletion_distance_check(
+                    code, args.granularity, pair_cap=caps.pair_cap, similarity=report
+                ).describe(),
+            }
+    if args.emit_words:
+        doc["words"] = [
+            {
+                "word": ",".join(str(e) for e in w),
+                "theta": theta_image(w),
+                "phi": phi_image(w),
+            }
+            for w in code.codewords
+        ]
+    return doc, exit_code
 
-        if args.reversible:
-            exit_code = max(
-                exit_code, _run_condition_section(spec, code, doc, lines, reversible=True)
-            )
-        if args.rc:
-            exit_code = max(
-                exit_code, _run_condition_section(spec, code, doc, lines, reversible=False)
-            )
-        if args.gc:
-            spectrum = gc_spectrum(code)
-            doc["gc_spectrum"] = {"theta": spectrum}
+
+def _check_lines(doc: dict) -> "list[str]":
+    spec = doc["spec"]
+    lines = [
+        f"spec n={spec['n']} g1={spec['g1']} g2={spec['g2']} g3={spec['g3'] or '-'}",
+        f"valid {_yn(doc['valid'])}",
+    ]
+    lines += [f"  problem: {p}" for p in doc["validation_errors"]]
+    if "code" not in doc:
+        return lines
+    code = doc["code"]
+    dist = code["min_hamming_distance"]
+    lines += [
+        f"cardinality {code['cardinality']}",
+        "min_hamming_distance "
+        + ("undefined (zero code)" if dist is None else str(dist)),
+        "weight_enumerator ["
+        + ",".join(str(c) for c in code["weight_enumerator"])
+        + "]",
+    ]
+    for name in ("reversible", "reverse_complement"):
+        report = doc.get(name, {})
+        if "error" in report:
+            lines.append(f"{name} error: {report['error']}")
+        elif report:
             lines.append(
-                "gc_spectrum theta "
-                + " ".join(f"{k}:{v}" for k, v in spectrum.items())
+                " ".join([name] + [f"{k}={_yn(report[k])}" for k in _VERDICTS])
             )
-        if args.deletion:
-            exit_code = max(
-                exit_code, _run_deletion_section(code, args.granularity, caps, doc, lines)
-            )
-        if args.emit_words:
-            words_doc = []
-            lines.append("words")
-            for w in code.codewords:
-                entry = {
-                    "word": _word_str(w),
-                    "theta": theta_image(w),
-                    "phi": phi_image(w),
-                }
-                words_doc.append(entry)
-                lines.append(
-                    f"  word {entry['word']} theta {entry['theta']} phi {entry['phi']}"
-                )
-            doc["words"] = words_doc
-
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
-    return exit_code
-
-
-def _run_condition_section(spec, code, doc, lines, reversible: bool) -> int:
-    name = "reversible" if reversible else "reverse_complement"
-    checker = reversible_check if reversible else reverse_complement_check
-    try:
-        report = checker(spec, code=code)
-    except SpecError as exc:
-        doc[name] = {"error": str(exc)}
-        lines.append(f"{name} error: {exc}")
-        return 1
-    doc[name] = report.describe()
-    lines.append(
-        f"{name} brute_force={_yn(report.brute_force)} "
-        f"theorem_verdict={_yn(report.theorem_verdict)} "
-        f"agreement={_yn(report.agreement)}"
-    )
-    for cond, value in report.conditions.items():
-        lines.append(f"  {cond} {_yn(value)}")
-    return 0 if report.brute_force else 1
-
-
-def _run_deletion_section(code, granularity, caps, doc, lines) -> int:
-    section: dict = {}
-    doc["deletion"] = section
-    if code.cardinality < 2:
-        section["error"] = "deletion metrics need at least 2 codewords"
+            lines += [f"  {c} {_yn(v)}" for c, v in report["conditions"].items()]
+    if "gc_spectrum" in doc:
+        lines.append(
+            "gc_spectrum theta "
+            + " ".join(f"{k}:{v}" for k, v in doc["gc_spectrum"]["theta"].items())
+        )
+    section = doc.get("deletion", {})
+    if "error" in section:
         lines.append("deletion unavailable: needs at least 2 codewords")
-        return 0
-    report = code_similarity_report(code, granularity, pair_cap=caps.pair_cap)
-    section["similarity"] = report.describe()
-    lines.append(
-        f"deletion granularity={report.granularity} "
-        f"sequence_length={report.sequence_length} "
-        f"max_similarity={report.max_similarity} "
-        f"deletion_distance={report.deletion_distance}"
-    )
-    pair = section["similarity"]["achieving_pair"]
-    lines.append(f"  achieving_pair {pair[0]} | {pair[1]}")
-    dna = dna_code_report(
-        code,
-        report.deletion_distance,
-        granularity,
-        pair_cap=caps.pair_cap,
-        similarity=report,
-    )
-    section["dna_code"] = dna.describe()
-    lines.append(
-        f"dna_code required_distance={dna.required_distance} "
-        f"closed={_yn(dna.closed_under_module_ops)} "
-        f"rc_no_fixed_points={_yn(dna.rc_closed_without_fixed_points)} "
-        f"similarity_bound={_yn(dna.similarity_within_bound)} "
-        f"verdict={_yn(dna.is_dna_code)}"
-    )
-    sub = subcode_deletion_distance_check(
-        code, granularity, pair_cap=caps.pair_cap, similarity=report
-    )
-    section["subcode"] = sub.describe()
-    lines.append(
-        f"subcode_deletion code_distance={sub.code_distance} "
-        f"subcode_distance={sub.subcode_distance} "
-        f"subcode_words={sub.subcode_cardinality} equal={_yn(sub.equal)}"
-    )
-    return 0
+    elif section:
+        sim, dna, sub = section["similarity"], section["dna_code"], section["subcode"]
+        lines += [
+            f"deletion granularity={sim['granularity']} "
+            f"sequence_length={sim['sequence_length']} "
+            f"max_similarity={sim['max_similarity']} "
+            f"deletion_distance={sim['deletion_distance']}",
+            f"  achieving_pair {sim['achieving_pair'][0]} | {sim['achieving_pair'][1]}",
+            f"dna_code required_distance={dna['required_distance']} "
+            f"closed={_yn(dna['closed_under_module_ops'])} "
+            f"rc_no_fixed_points={_yn(dna['rc_closed_without_fixed_points'])} "
+            f"similarity_bound={_yn(dna['similarity_within_bound'])} "
+            f"verdict={_yn(dna['is_dna_code'])}",
+            f"subcode_deletion code_distance={sub['code_distance']} "
+            f"subcode_distance={sub['subcode_distance']} "
+            f"subcode_words={sub['subcode_cardinality']} equal={_yn(sub['equal'])}",
+        ]
+    if "words" in doc:
+        lines.append("words")
+        lines += [
+            f"  word {w['word']} theta {w['theta']} phi {w['phi']}"
+            for w in doc["words"]
+        ]
+    return lines
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -376,17 +375,14 @@ def _widened_g2_family(args, cap: int) -> "list[PolyR] | None":
     )
 
 
-def iter_catalog_specs(n: int, g2_family_for=None, max_n: int = MAX_N_DEFAULT):
+def iter_catalog_specs(n: int, g2_family=None, max_n: int = MAX_N_DEFAULT):
     """All valid specs for length n: g1 over the divisor lattice, g3 absent
-    or a lattice divisor of g1, g2 from the candidate family (default
+    or a lattice divisor of g1, g2 from ``g2_family`` (default, per g1:
     {0} + {g1} + all divisors).  Deterministic order."""
     divisors = all_monic_divisors(n, max_n=max_n)
     specs = []
     for g1 in divisors:
-        if g2_family_for is None:
-            g2s = _default_g2_family(g1, divisors)
-        else:
-            g2s = g2_family_for(g1)
+        g2s = _default_g2_family(g1, divisors) if g2_family is None else g2_family
         g3s: list = [None] + [d for d in divisors if d.divides_mod2(g1)]
         for g3 in g3s:
             for g2 in g2s:
@@ -397,142 +393,122 @@ def iter_catalog_specs(n: int, g2_family_for=None, max_n: int = MAX_N_DEFAULT):
     return specs
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def _catalog_entry(spec: CodeSpec, caps: Caps) -> dict:
+    """One catalog entry; its code is freed before the next spec's is built."""
+    entry: dict = {"spec": spec.describe()}
+    try:
+        code = Code.from_spec(spec, cap=caps.enumeration_cap)
+    except EnumerationCapExceeded as exc:
+        entry["skipped"] = str(exc)
+        return entry
+    entry["code"] = code.describe()
+    for name in ("reversible", "reverse_complement"):
+        report = _condition_report(spec, code, name)
+        if isinstance(report, SpecError):
+            entry[name] = {"error": str(report)}
+        else:
+            entry[name] = {k: getattr(report, k) for k in _VERDICTS}
+    entry["gc_spectrum"] = gc_spectrum(code)
+    for granularity in ("symbol", "nucleotide"):
+        key = f"deletion_distance_{granularity}"
+        try:
+            report = _similarity(code, granularity, caps)
+        except PairCapExceeded as exc:
+            entry[key] = f"skipped: {exc}"
+        else:
+            entry[key] = None if report is None else report.deletion_distance
+    return entry
+
+
+def cmd_catalog(args: argparse.Namespace) -> "tuple[dict, int]":
     caps = load_caps(args.config, args)
     _require_valid_n(args.n, caps.max_n)
     family = _widened_g2_family(args, caps.enumeration_cap)
-    specs = iter_catalog_specs(
-        args.n,
-        g2_family_for=None if family is None else (lambda g1: family),
-        max_n=caps.max_n,
-    )
-    entries = []
-    skipped = 0
-    for spec in specs:
-        entry: dict = {"spec": spec.describe()}
-        try:
-            code = Code.from_spec(spec, cap=caps.enumeration_cap)
-        except EnumerationCapExceeded as exc:
-            entry["skipped"] = str(exc)
-            entries.append(entry)
-            skipped += 1
-            continue
-        entry["code"] = code.describe()
-        for name, checker in (
-            ("reversible", reversible_check),
-            ("reverse_complement", reverse_complement_check),
-        ):
-            try:
-                report = checker(spec, code=code)
-                entry[name] = {
-                    "brute_force": report.brute_force,
-                    "theorem_verdict": report.theorem_verdict,
-                    "agreement": report.agreement,
-                }
-            except SpecError as exc:
-                entry[name] = {"error": str(exc)}
-        entry["gc_spectrum"] = gc_spectrum(code)
-        for granularity in ("symbol", "nucleotide"):
-            key = f"deletion_distance_{granularity}"
-            if code.cardinality < 2:
-                entry[key] = None
-                continue
-            try:
-                report = code_similarity_report(code, granularity, pair_cap=caps.pair_cap)
-                entry[key] = report.deletion_distance
-            except PairCapExceeded as exc:
-                entry[key] = f"skipped: {exc}"
-        entries.append(entry)
+    specs = iter_catalog_specs(args.n, g2_family=family, max_n=caps.max_n)
+    entries = [_catalog_entry(spec, caps) for spec in specs]
 
-    best_by_size: dict[int, dict] = {}
+    # The first entry of greatest symbol D among those of each cardinality.
+    best: dict[int, dict] = {}
     for entry in entries:
-        if "skipped" in entry or entry.get("deletion_distance_symbol") is None:
-            continue
-        d = entry["deletion_distance_symbol"]
+        d = entry.get("deletion_distance_symbol")
         if not isinstance(d, int):
             continue
         size = entry["code"]["cardinality"]
-        cur = best_by_size.get(size)
-        if cur is None or d > cur["deletion_distance_symbol"]:
-            best_by_size[size] = entry
-    summary = {
-        str(size): {
-            "deletion_distance_symbol": best_by_size[size]["deletion_distance_symbol"],
-            "spec": best_by_size[size]["spec"],
-        }
-        for size in sorted(best_by_size)
-    }
+        if size not in best or d > best[size]["deletion_distance_symbol"]:
+            best[size] = {"deletion_distance_symbol": d, "spec": entry["spec"]}
+    return {
+        "command": "catalog",
+        "n": args.n,
+        "entry_count": len(entries),
+        "skipped_count": sum("skipped" in entry for entry in entries),
+        "entries": entries,
+        "best_deletion_distance_by_cardinality": {
+            str(size): best[size] for size in sorted(best)
+        },
+    }, 0
 
-    if args.json:
-        doc = {
-            "command": "catalog",
-            "n": args.n,
-            "entry_count": len(entries),
-            "skipped_count": skipped,
-            "entries": entries,
-            "best_deletion_distance_by_cardinality": summary,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"catalog n={args.n} specs={len(entries)} skipped={skipped}")
-        for entry in entries:
-            spec = entry["spec"]
-            head = f"g1={spec['g1']} g3={spec['g3'] or '-'} g2={spec['g2']}"
-            if "skipped" in entry:
-                print(f"{head} skipped ({entry['skipped']})")
-                continue
-            rev = entry["reversible"]
-            rc = entry["reverse_complement"]
-            rev_s = "err" if "error" in rev else _yn(rev["brute_force"])
-            rc_s = "err" if "error" in rc else _yn(rc["brute_force"])
-            gc = ",".join(f"{k}:{v}" for k, v in entry["gc_spectrum"].items())
-            print(
-                f"{head} words={entry['code']['cardinality']} "
-                f"dmin={entry['code']['min_hamming_distance']} "
-                f"reversible={rev_s} rc={rc_s} "
-                f"D_symbol={entry['deletion_distance_symbol']} "
-                f"D_nucleotide={entry['deletion_distance_nucleotide']} "
-                f"gc={gc}"
-            )
-        print("best deletion distance by cardinality (symbol granularity):")
-        for size, info in summary.items():
-            spec = info["spec"]
-            print(
-                f"  {size} words: D={info['deletion_distance_symbol']} "
-                f"(g1={spec['g1']} g3={spec['g3'] or '-'} g2={spec['g2']})"
-            )
-    return 0
+
+def _spec_head(spec: dict) -> str:
+    return f"g1={spec['g1']} g3={spec['g3'] or '-'} g2={spec['g2']}"
+
+
+def _catalog_lines(doc: dict) -> "list[str]":
+    lines = [
+        f"catalog n={doc['n']} specs={doc['entry_count']} "
+        f"skipped={doc['skipped_count']}"
+    ]
+    for entry in doc["entries"]:
+        head = _spec_head(entry["spec"])
+        if "skipped" in entry:
+            lines.append(f"{head} skipped ({entry['skipped']})")
+            continue
+        rev = entry["reversible"]
+        rc = entry["reverse_complement"]
+        rev_s = "err" if "error" in rev else _yn(rev["brute_force"])
+        rc_s = "err" if "error" in rc else _yn(rc["brute_force"])
+        gc = ",".join(f"{k}:{v}" for k, v in entry["gc_spectrum"].items())
+        lines.append(
+            f"{head} words={entry['code']['cardinality']} "
+            f"dmin={entry['code']['min_hamming_distance']} "
+            f"reversible={rev_s} rc={rc_s} "
+            f"D_symbol={entry['deletion_distance_symbol']} "
+            f"D_nucleotide={entry['deletion_distance_nucleotide']} "
+            f"gc={gc}"
+        )
+    lines.append("best deletion distance by cardinality (symbol granularity):")
+    for size, info in doc["best_deletion_distance_by_cardinality"].items():
+        lines.append(
+            f"  {size} words: D={info['deletion_distance_symbol']} "
+            f"({_spec_head(info['spec'])})"
+        )
+    return lines
 
 
 # -- tables ----------------------------------------------------------------------
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    correspondence = [
-        (str(e), f"({e.a},{e.b})", THETA_TABLE[(e.a, e.b)]) for e in ALL_ELEMENTS
+def cmd_tables(args: argparse.Namespace) -> "tuple[dict, int]":
+    return {
+        "command": "tables",
+        "codon_correspondence": [
+            [str(e), f"({e.a},{e.b})", THETA_TABLE[(e.a, e.b)]] for e in ALL_ELEMENTS
+        ],
+        "length6_code": [list(row) for row in LENGTH6_CODE_TABLE],
+        "length18_code": [list(row) for row in LENGTH18_CODE_TABLE],
+    }, 0
+
+
+def _tables_lines(doc: dict) -> "list[str]":
+    lines = ["codon correspondence", "element  pair   codon"]
+    lines += [
+        f"{element:<8} {pair:<6} {codon}"
+        for element, pair, codon in doc["codon_correspondence"]
     ]
-    if args.json:
-        doc = {
-            "command": "tables",
-            "codon_correspondence": [list(row) for row in correspondence],
-            "length6_code": [list(row) for row in LENGTH6_CODE_TABLE],
-            "length18_code": [list(row) for row in LENGTH18_CODE_TABLE],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print("codon correspondence")
-    print("element  pair   codon")
-    for element, pair, codon in correspondence:
-        print(f"{element:<8} {pair:<6} {codon}")
-    print()
-    print("length-6 code: n=3, g1 = g2 = [1,1,1]")
-    for row in LENGTH6_CODE_TABLE:
-        print("  ".join(row))
-    print()
-    print("length-18 code: n=9, g1 = g2 = [1,1,1,1,1,1,1,1,1]")
-    for row in LENGTH18_CODE_TABLE:
-        print("  ".join(row))
-    return 0
+    lines += ["", "length-6 code: n=3, g1 = g2 = [1,1,1]"]
+    lines += ["  ".join(row) for row in doc["length6_code"]]
+    lines += ["", "length-18 code: n=9, g1 = g2 = [1,1,1,1,1,1,1,1,1]"]
+    lines += ["  ".join(row) for row in doc["length18_code"]]
+    return lines
 
 
 # -- entry point -------------------------------------------------------------------
@@ -566,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         "factor", parents=[common], help="factor x^n - 1 mod 2 and over Z4"
     )
     p_factor.add_argument("n", type=int)
-    p_factor.set_defaults(func=cmd_factor)
+    p_factor.set_defaults(func=cmd_factor, render=_factor_lines)
 
     p_check = sub.add_parser(
         "check", parents=[common], help="analyze one code spec"
@@ -586,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--granularity", choices=("symbol", "nucleotide"), default="symbol"
     )
     p_check.add_argument("--emit-words", action="store_true")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, render=_check_lines)
 
     p_catalog = sub.add_parser(
         "catalog", parents=[common], help="sweep all specs for one length"
@@ -599,12 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated ring elements for the widened g2 family",
     )
-    p_catalog.set_defaults(func=cmd_catalog)
+    p_catalog.set_defaults(func=cmd_catalog, render=_catalog_lines)
 
     p_tables = sub.add_parser(
         "tables", parents=[common], help="print the published-layout tables"
     )
-    p_tables.set_defaults(func=cmd_tables)
+    p_tables.set_defaults(func=cmd_tables, render=_tables_lines)
 
     return parser
 
@@ -613,11 +589,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        doc, exit_code = args.func(args)
+        text = json.dumps(doc, indent=2) if args.json else "\n".join(args.render(doc))
+        print(text)
         # Flush inside the try so a reader that went away (e.g. a closed
         # pipe) surfaces here instead of at interpreter shutdown.
         sys.stdout.flush()
-        return result
+        return exit_code
     except (CliParseError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,10 +232,9 @@ class Code:
     from_spec are the Z4-span of the generator rows, hence ideals; the
     is_*_closed methods re-check the module operations on any word set."""
 
-    def __init__(self, n: int, packed_words, spec: "CodeSpec | None" = None) -> None:
+    def __init__(self, n: int, packed_words) -> None:
         self.n = n
         self.packed = tuple(sorted(set(packed_words)))
-        self.spec = spec
         self._packed_set = frozenset(self.packed)
 
     @classmethod
@@ -248,7 +247,7 @@ class Code:
             for _ in range(n):
                 rows += (packed, u_times_packed(packed, n))
                 packed = _rotate(packed, n)
-        return cls(n, _z4_span(rows, n, cap), spec=spec)
+        return cls(n, _z4_span(rows, n, cap))
 
     # -- basic views ----------------------------------------------------------
 
@@ -307,7 +306,7 @@ class Code:
         """The subcode of words that are multiples of 1+u, i.e. words whose
         every coordinate lies in the ideal generated by 1+u."""
         kept = [w for w in self.packed if is_one_plus_u_multiple_packed(w, self.n)]
-        return Code(self.n, kept, spec=None)
+        return Code(self.n, kept)
 
     # -- independent closure checks ---------------------------------------------
 

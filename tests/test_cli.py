@@ -1,8 +1,10 @@
 """Command-line behavior: output formats, exit codes, config handling."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,7 +15,8 @@ from dnacyclic.cli import (
     iter_catalog_specs,
     main,
 )
-from dnacyclic.codes import SpecError
+from dnacyclic.codes import Code, CodeSpec, SpecError
+from dnacyclic.polynomials import PolyR, PolyZ4
 
 TABLES_GOLDEN = """\
 codon correspondence
@@ -471,6 +474,24 @@ def test_injected_errors_keep_their_exit_codes(capsys, monkeypatch, exc, exit_co
     monkeypatch.setattr(cli, "gc_spectrum", broken)
     code, out, err = run(capsys, "check", "--n", "3", "--g1", "[1,1,1]", "--gc")
     assert (code, out, err) == (exit_code, "", message)
+
+
+def test_refused_condition_report_keeps_no_code_alive():
+    # The returned SpecError carries no traceback, so no frame of the checker
+    # holds the code once the caller lets it go; without the cyclic collector
+    # the code is freed at once.
+    g1, g2 = PolyZ4.from_string("[3,1]"), PolyR.from_string("[1,1,1]")
+    spec = CodeSpec(n=3, g1=g1, g2=g2)
+    code = Code.from_spec(spec)
+    alive = weakref.ref(code)
+    gc.disable()
+    try:
+        error = cli._condition_report(spec, code, "reversible")
+        del code
+        assert isinstance(error, SpecError)
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # -- installed entry point --------------------------------------------------------------

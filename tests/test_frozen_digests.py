@@ -15,16 +15,29 @@ a spec the condition checkers refuse (deg g2 > deg g1, exit 1), and
 The third group was recorded before ``PolyZ4`` and ``PolyR`` came to share
 one arithmetic body: ``factor N`` in both formats for N in {1, 3, 7, 9, 15,
 21, 23, 31}, and a ``--strict`` refusal of a non-divisor (exit 1).
+The fourth group was recorded before every subcommand came to build one
+document that ``main`` prints as JSON or renders as text: text catalogs for
+n in {1, 3, 5, 7} (n=1's zero code prints ``dmin=None``; ``--cap 1024`` at
+n=7 prints pair-cap ``skipped:`` strings) and a small widened-g2 one, the
+text "deletion unavailable" line of the zero code, ``check`` with every
+generator analysis in both formats, and the full widened n=3 catalog (all 16
+coefficients, deg g2 <= 1, about 8 s), the only catalog that reaches all 15
+ideals.
 
 A change that means to alter one of these outputs says so in CHANGES.md and
 re-records only that case.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from dnacyclic.cli import main
+from dnacyclic.cli import build_parser, main
+
+# All 16 elements of Z4 + uZ4: with --g2-degree-bound 1 the widened n=3
+# catalog reaches all 15 ideals.
+ALL_COEFFS = "0,u,2u,3u,1,1+u,1+2u,1+3u,2,2+u,2+2u,2+3u,3,3+u,3+2u,3+3u"
 
 FROZEN = [
     (["catalog", "3", "--json"], 0, "40ff0d968d3d0a8084777e0364a68e9bbf081822ed7603176b3b74473fb3b147"),
@@ -74,6 +87,15 @@ FROZEN = [
     (["factor", "31"], 0, "2b0cbc550a31a00bbfa37440c2d367f4a232a4875a125b1493570d902922612f"),
     (["factor", "31", "--json"], 0, "95e68c224099cd1d6eaf06157a2e84b4e105ad74b0a1700ab4314db4cc6ea6f4"),
     (["check", "--n", "3", "--g1", "[1,1]", "--strict"], 1, "3794dcf738f0110b6058d4a4f3f551439fcdf0699f41425ba0af0e9a8dfa500a"),
+    (["catalog", "1"], 0, "ee579752fbda6c33fbd6e07ab09c8b54aad111004c4f88a6fae67dbf98e20285"),
+    (["catalog", "3"], 0, "1180af781929461d28e2cd5015699198b40c4f8635b9d502c755506caf94eb6d"),
+    (["catalog", "5", "--cap", "4096"], 0, "ab511316d18107471badc9b15dddca061c5cc6621fa5c0039c4da63041d9d608"),
+    (["catalog", "7", "--cap", "1024"], 0, "a589aed347eaa92e5cfb3945fba4a7b3dfb5400ec7323609b0168b96f79ee4f1"),
+    (["catalog", "3", "--g2-degree-bound", "1", "--g2-coeffs", "0,1,1+u"], 0, "c99ec1e9e256d8861a864c8b512637abb43deea536a7cc80bb37840641566f5e"),
+    (["check", "--n", "3", "--g1", "[3,0,0,1]", "--deletion"], 0, "7bae14004838264a179cd10db38f5ecebeaa9bcd472f6c51465e99ff651782a8"),
+    (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--reversible", "--rc", "--gc"], 1, "0c403efeb7179e812ffd2addbaddc4865524d0dddd2868d9422c25240109e456"),
+    (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--reversible", "--rc", "--gc", "--json"], 1, "69e7e229156739ec713326ff5f9081fe361067f083eda5485c627056736568b7"),
+    (["catalog", "3", "--g2-degree-bound", "1", "--g2-coeffs", ALL_COEFFS, "--json"], 0, "0aca428fec17aa4bc573403cfc75c35e944b8011850c1bd9a6e37cc4fb100742"),
 ]
 
 
@@ -84,3 +106,21 @@ def test_output_matches_frozen_digest(capsys, argv, exit_code, digest):
     assert main(list(argv)) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every distinct argv above with --json dropped, except the cap exits, which
+# print nothing.
+TEXT_ARGVS = sorted(
+    {tuple(a for a in argv if a != "--json") for argv, code, _ in FROZEN if code != 3}
+)
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS, ids=[" ".join(a) for a in TEXT_ARGVS])
+def test_text_output_renders_the_json_document(capsys, argv):
+    # The text form is the subcommand's renderer applied to the document
+    # that --json prints, so the two forms cannot drift apart.
+    json_exit = main([*argv, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert main(list(argv)) == json_exit
+    render = build_parser().parse_args(list(argv)).render
+    assert capsys.readouterr().out == "\n".join(render(doc)) + "\n"

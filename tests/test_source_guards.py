@@ -31,3 +31,26 @@ def test_poly_classes_define_no_method_twice():
         if isinstance(node, ast.ClassDef)
     }
     assert classes["PolyZ4"] & classes["PolyR"] <= {"__repr__", "to_power_str"}
+
+
+def test_cli_prints_only_in_main():
+    # Each subcommand returns one document and main alone prints it, as JSON
+    # or through the subcommand's renderer; a print anywhere else would be a
+    # second output path that --json does not see.
+    path = Path(dnacyclic.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def prints(node):
+        return [
+            call.lineno
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "print"
+        ]
+
+    (main,) = [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"
+    ]
+    assert prints(main)
+    assert sorted(prints(tree)) == sorted(prints(main))
