@@ -178,8 +178,7 @@ def _similarity(code: Code, granularity: str, caps: Caps):
 # -- factor ---------------------------------------------------------------------
 
 
-def cmd_factor(args: argparse.Namespace) -> "tuple[dict, int]":
-    caps = load_caps(args.config, args)
+def cmd_factor(args: argparse.Namespace, caps: Caps) -> "tuple[dict, int]":
     _require_valid_n(args.n, caps.max_n)
     mod2 = factor_xn_minus_1_mod2(args.n, max_n=caps.max_n)
     z4 = factor_xn_minus_1_z4(args.n, max_n=caps.max_n)
@@ -204,8 +203,7 @@ def _factor_lines(doc: dict) -> "list[str]":
 # -- check ----------------------------------------------------------------------
 
 
-def cmd_check(args: argparse.Namespace) -> "tuple[dict, int]":
-    caps = load_caps(args.config, args)
+def cmd_check(args: argparse.Namespace, caps: Caps) -> "tuple[dict, int]":
     _require_n_within_max(args.n, caps.max_n)
     spec = CodeSpec(
         n=args.n,
@@ -338,12 +336,6 @@ def _dedupe_polys(family: "list[PolyR]") -> "list[PolyR]":
     ]
 
 
-def _default_g2_family(g1: PolyZ4, divisors: "list[PolyZ4]") -> "list[PolyR]":
-    family = [PolyR()] + [d.to_ring_poly() for d in divisors]
-    family.append(g1.to_ring_poly())
-    return _dedupe_polys(family)
-
-
 def _widened_g2_family(args, cap: int) -> "list[PolyR] | None":
     """The g2 family of --g2-degree-bound and --g2-coeffs, or None when
     neither is given.  Refused before any polynomial is built when it holds
@@ -376,19 +368,19 @@ def _widened_g2_family(args, cap: int) -> "list[PolyR] | None":
 
 
 def iter_catalog_specs(n: int, g2_family=None, max_n: int = MAX_N_DEFAULT):
-    """All valid specs for length n: g1 over the divisor lattice, g3 absent
-    or a lattice divisor of g1, g2 from ``g2_family`` (default, per g1:
-    {0} + {g1} + all divisors).  Deterministic order."""
+    """All specs for length n, each valid by construction: g1 over the
+    divisor lattice, g3 absent or a lattice divisor of g1, g2 from
+    ``g2_family`` (default {0} + all divisors, which holds every g1).
+    Deterministic order."""
     divisors = all_monic_divisors(n, max_n=max_n)
-    specs = []
-    for g1 in divisors:
-        g2s = _default_g2_family(g1, divisors) if g2_family is None else g2_family
-        g3s: list = [None] + [d for d in divisors if d.divides_mod2(g1)]
-        for g3 in g3s:
-            for g2 in g2s:
-                spec = CodeSpec(n=n, g1=g1, g2=g2, g3=g3)
-                if not spec.validate():
-                    specs.append(spec)
+    if g2_family is None:
+        g2_family = [PolyR()] + [d.to_ring_poly() for d in divisors]
+    specs = [
+        CodeSpec(n=n, g1=g1, g2=g2, g3=g3)
+        for g1 in divisors
+        for g3 in [None] + [d for d in divisors if d.divides_mod2(g1)]
+        for g2 in g2_family
+    ]
     specs.sort(key=CodeSpec.sort_key)
     return specs
 
@@ -420,8 +412,7 @@ def _catalog_entry(spec: CodeSpec, caps: Caps) -> dict:
     return entry
 
 
-def cmd_catalog(args: argparse.Namespace) -> "tuple[dict, int]":
-    caps = load_caps(args.config, args)
+def cmd_catalog(args: argparse.Namespace, caps: Caps) -> "tuple[dict, int]":
     _require_valid_n(args.n, caps.max_n)
     family = _widened_g2_family(args, caps.enumeration_cap)
     specs = iter_catalog_specs(args.n, g2_family=family, max_n=caps.max_n)
@@ -487,7 +478,7 @@ def _catalog_lines(doc: dict) -> "list[str]":
 # -- tables ----------------------------------------------------------------------
 
 
-def cmd_tables(args: argparse.Namespace) -> "tuple[dict, int]":
+def cmd_tables(args: argparse.Namespace, caps: Caps) -> "tuple[dict, int]":
     return {
         "command": "tables",
         "codon_correspondence": [
@@ -589,7 +580,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, exit_code = args.func(args)
+        doc, exit_code = args.func(args, load_caps(args.config, args))
         text = json.dumps(doc, indent=2) if args.json else "\n".join(args.render(doc))
         print(text)
         # Flush inside the try so a reader that went away (e.g. a closed

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .polynomials import PolyR, PolyZ4
-from .ring import ALL_ELEMENTS, NUCLEOTIDES, ONE_PLUS_U, RingElement
+from .ring import NUCLEOTIDES, ONE_PLUS_U, RingElement
 
 Codeword = tuple[RingElement, ...]
 
@@ -40,14 +40,6 @@ class EnumerationCapExceeded(RuntimeError):
 # Byte-level tables for packed words.  Valid coordinate bytes are
 # (a << 4) | b with a, b in 0..3; addition needs the 0b0011 mask per nibble.
 _ADD_NIBBLE_MASK = 0x33
-
-_SCALAR_TABLES: dict[tuple[int, int], bytes] = {}
-for _s in ALL_ELEMENTS:
-    _table = bytearray(256)
-    for _e in ALL_ELEMENTS:
-        _p = _s * _e
-        _table[(_e.a << 4) | _e.b] = (_p.a << 4) | _p.b
-    _SCALAR_TABLES[(_s.a, _s.b)] = bytes(_table)
 
 _THETA_LETTERS = str.maketrans("0123", NUCLEOTIDES)
 
@@ -73,11 +65,6 @@ def _poly_to_packed(p: PolyR, n: int) -> int:
 def _rotate(packed: int, n: int) -> int:
     """x * c(x): coordinate i moves to i+1 (mod n)."""
     return (packed >> 8) | ((packed & 0xFF) << (8 * (n - 1)))
-
-
-def _scalar_mul_packed(scalar: RingElement, packed: int, n: int) -> int:
-    table = _SCALAR_TABLES[(scalar.a, scalar.b)]
-    return int.from_bytes(packed.to_bytes(n, "big").translate(table), "big")
 
 
 def _word_weight(packed: int, n: int) -> int:
@@ -229,8 +216,8 @@ class CodeSpec:
 
 class Code:
     """A set of length-n words, kept sorted in packed form.  Codes built by
-    from_spec are the Z4-span of the generator rows, hence ideals; the
-    is_*_closed methods re-check the module operations on any word set."""
+    from_spec are the Z4-span of the generator rows, hence ideals; is_ideal
+    re-checks the module operations on any word set."""
 
     def __init__(self, n: int, packed_words) -> None:
         self.n = n
@@ -296,8 +283,8 @@ class Code:
     def min_hamming_distance(self) -> "int | None":
         """Minimum nonzero weight; None for the zero code (undefined).
 
-        Equals the minimum pairwise distance because the word set is closed
-        under subtraction.
+        Equals the minimum pairwise distance for an ideal (see is_ideal),
+        which is closed under subtraction.
         """
         nonzero = [i for i in range(1, self.n + 1) if self.weight_enumerator[i]]
         return min(nonzero) if nonzero else None
@@ -308,22 +295,19 @@ class Code:
         kept = [w for w in self.packed if is_one_plus_u_multiple_packed(w, self.n)]
         return Code(self.n, kept)
 
-    # -- independent closure checks ---------------------------------------------
+    def is_ideal(self) -> bool:
+        """True iff the word set is closed under addition, the scalars of R
+        and x*, i.e. is an ideal of R[x]/(x^n - 1).
 
-    def is_shift_closed(self) -> bool:
-        return all(_rotate(w, self.n) in self._packed_set for w in self.packed)
-
-    def is_scalar_closed(self) -> bool:
-        return all(
-            _scalar_mul_packed(s, w, self.n) in self._packed_set
-            for s in ALL_ELEMENTS
-            for w in self.packed
-        )
-
-    def is_addition_closed(self) -> bool:
-        """True iff the word set equals the additive group it generates."""
+        The Z4-span of the words, their u-multiples and their shifts contains
+        the set, and equals it exactly when the set is closed under addition,
+        u* and x*; R is spanned over Z4 by 1 and u, so that is closure under
+        every scalar.  The span is refused past |S| words.
+        """
+        n = self.n
+        rows = [r for w in self.packed for r in (w, u_times_packed(w, n), _rotate(w, n))]
         try:
-            return _z4_span(self.packed, self.n, len(self.packed)) == self._packed_set
+            return _z4_span(rows, n, len(self.packed)) == self._packed_set
         except EnumerationCapExceeded:
             return False
 

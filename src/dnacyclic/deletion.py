@@ -303,14 +303,11 @@ def dna_code_report(
     computed, saves computing it again.
     """
     report = _code_report(code, granularity, pair_cap, similarity)
-    closed = (
-        code.is_shift_closed() and code.is_addition_closed() and code.is_scalar_closed()
-    )
     return DnaCodeReport(
         granularity=granularity,
         sequence_length=report.sequence_length,
         required_distance=required_distance,
-        closed_under_module_ops=closed,
+        closed_under_module_ops=code.is_ideal(),
         rc_closed_without_fixed_points=_rc_condition(code, granularity),
         similarity_within_bound=report.max_similarity
         <= report.sequence_length - required_distance - 1,

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, config handling."""
 
 import gc
+import itertools
 import json
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from dnacyclic.cli import (
     main,
 )
 from dnacyclic.codes import Code, CodeSpec, SpecError
-from dnacyclic.polynomials import PolyR, PolyZ4
+from dnacyclic.polynomials import PolyR, PolyZ4, all_monic_divisors
+from dnacyclic.ring import ALL_ELEMENTS
 
 TABLES_GOLDEN = """\
 codon correspondence
@@ -249,6 +251,18 @@ def test_catalog_json_entries(capsys):
     ] == 2
 
 
+def test_catalog_specs_are_valid_by_construction():
+    # iter_catalog_specs does not filter through validate, so every spec it
+    # builds must already be valid, for the default and a widened family.
+    for n in range(1, 16, 2):
+        assert all(spec.validate() == [] for spec in iter_catalog_specs(n)), n
+    widened = [PolyR(list(cs)) for cs in itertools.product(ALL_ELEMENTS, repeat=2)]
+    specs = iter_catalog_specs(5, g2_family=widened)
+    pairs = len(iter_catalog_specs(5)) // (len(all_monic_divisors(5)) + 1)
+    assert len(specs) == 256 * pairs
+    assert all(spec.validate() == [] for spec in specs)
+
+
 def test_catalog_spec_count_matches_library_iterator(capsys):
     assert len(iter_catalog_specs(3)) == 65
     _, out, _ = run(capsys, "catalog", "3", "--json")
@@ -376,6 +390,10 @@ def test_config_bad_value_and_missing_file(capsys, tmp_path):
     assert "integer" in err
     code, _, err = run(capsys, "factor", "3", "--config", str(tmp_path / "nope.conf"))
     assert code == 2
+    for argv in (["--config", str(cfg)], ["--config", str(tmp_path / "nope.conf")]):
+        code, out, err = run(capsys, "tables", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 def test_config_malformed_line(capsys, tmp_path):
@@ -418,6 +436,9 @@ def test_missing_required_flag_exits_two():
          "cannot parse --g2-coeffs"),
         (["catalog", "3", "--g2-degree-bound", "-1", "--g2-coeffs", "0"],
          "--g2-degree-bound must be >= 0"),
+        (["tables", "--cap", "0"], "enumeration_cap must be at least 1"),
+        (["tables", "--pair-cap", "0"], "pair_cap must be at least 1"),
+        (["tables", "--max-n", "-1"], "max_n must be at least 1"),
     ],
 )
 def test_user_input_errors_exit_two(capsys, argv, message):

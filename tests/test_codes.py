@@ -17,7 +17,14 @@ from dnacyclic.codes import (
     encode_word,
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
-from dnacyclic.ring import ALL_ELEMENTS, IDEAL_ONE_PLUS_U, ONE_PLUS_U, RingElement, ZERO
+from dnacyclic.ring import (
+    ALL_ELEMENTS,
+    IDEAL_ONE_PLUS_U,
+    ONE_PLUS_U,
+    U,
+    RingElement,
+    ZERO,
+)
 from spec_strategies import code_specs
 
 
@@ -260,6 +267,24 @@ def test_invalid_spec_is_rejected_at_enumeration():
 # -- module structure ----------------------------------------------------------------
 
 
+def module_closed(n, packed_words):
+    """Brute-force oracle for Code.is_ideal: the set holds 0 and is closed
+    under x* and under all 16 scalars (on ring-element tuples), and under
+    every pairwise sum (on packed words, one masked addition each)."""
+    packed = sorted(packed_words)
+    packed_set = set(packed)
+    words = {decode_word(w, n) for w in packed}
+    mask = int.from_bytes(b"\x33" * n, "big")
+    return (
+        tuple([ZERO] * n) in words
+        and all(w[-1:] + w[:-1] in words for w in words)
+        and all(tuple(s * e for e in w) in words for s in ALL_ELEMENTS for w in words)
+        and all(
+            (a + b) & mask in packed_set for i, a in enumerate(packed) for b in packed[i:]
+        )
+    )
+
+
 def test_codes_are_closed_under_module_operations():
     for spec in (
         spec_from(3, "[1,1,1]", g2="[1,1,1]"),
@@ -268,9 +293,8 @@ def test_codes_are_closed_under_module_operations():
         spec_from(5, "[1,1,1,1,1]"),
     ):
         code = Code.from_spec(spec)
-        assert code.is_shift_closed()
-        assert code.is_scalar_closed()
-        assert code.is_addition_closed()
+        assert module_closed(code.n, code.packed)
+        assert code.is_ideal()
 
 
 # Length-2 words: the 256 elements of Z4^4 in packed form.
@@ -293,14 +317,29 @@ def sum_closure(gens):
     return group
 
 
+def ideal_rows(gens):
+    """Each length-2 generator with its u-multiple and their shifts: their
+    sums are the ideal the generators span."""
+    rows = []
+    for g in gens:
+        word = decode_word(g, 2)
+        for w in (word, tuple(U * e for e in word)):
+            rows += (encode_word(w), encode_word(w[-1:] + w[:-1]))
+    return rows
+
+
 @st.composite
 def word_sets(draw):
-    """Random word sets, subgroups, subgroups plus or minus one word, and
-    subgroups without 0."""
-    kind = draw(st.sampled_from(("random", "subgroup", "plus", "minus", "no_zero")))
+    """Random word sets, subgroups, ideals, subgroups or ideals plus or
+    minus one word, and subgroups or ideals without 0."""
+    kinds = ("random", "subgroup", "ideal", "plus", "minus", "no_zero")
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         return draw(st.sets(st.sampled_from(WORDS2), max_size=24))
-    group = sum_closure(draw(st.lists(st.sampled_from(WORDS2), max_size=3)))
+    gens = draw(st.lists(st.sampled_from(WORDS2), max_size=3))
+    if kind == "ideal" or (kind != "subgroup" and draw(st.booleans())):
+        gens = ideal_rows(gens)
+    group = sum_closure(gens)
     if kind == "plus" and len(group) < len(WORDS2):
         group.add(draw(st.sampled_from([w for w in WORDS2 if w not in group])))
     elif kind == "minus":
@@ -316,9 +355,9 @@ def word_sets(draw):
 @example({0x2200})  # no zero word
 @example({0, 0x2200})  # (2+2u, 0) has order 2
 @example({0, 0x1100})  # (1+u, 0) has order 4
-def test_is_addition_closed_matches_pairwise_sums(words):
-    expected = 0 in words and all((a + b) & MASK2 in words for a in words for b in words)
-    assert Code(2, words).is_addition_closed() == expected
+@example({0, 0x2222})  # the ideal of the constant word 2+2u
+def test_is_ideal_matches_brute_force_closure(words):
+    assert Code(2, words).is_ideal() == module_closed(2, words)
 
 
 def test_membership_and_equality():
@@ -344,7 +383,8 @@ def test_subcode_of_diagonal_multiples():
     sub = code.subcode_one_plus_u()
     assert set(sub.codewords) == {constant_word(t, 3) for t in IDEAL_ONE_PLUS_U}
     assert sub.cardinality == 4
-    assert sub.is_shift_closed() and sub.is_addition_closed()
+    assert module_closed(3, sub.packed)
+    assert sub.is_ideal()
 
 
 # Specs (g1, g3, g2) whose diagonal subcode {(1+u)c : c in C} differs from

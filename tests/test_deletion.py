@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dnacyclic.codes import Code, CodeSpec
+from dnacyclic.codes import Code, CodeSpec, reverse_complement_packed
 from dnacyclic.constraints import dna_reverse_complement, theta_image
 from dnacyclic.deletion import (
     DEFAULT_PAIR_CAP,
@@ -198,6 +198,22 @@ def test_dna_code_predicate_needs_rc_closure():
     assert report.closed_under_module_ops
     assert not report.rc_closed_without_fixed_points
     assert not report.is_dna_code
+
+
+def test_dna_code_predicate_needs_module_closure():
+    # Dropping a word and its reverse complement keeps rc closure and the
+    # similarity bound but breaks additive closure: no longer an ideal.
+    code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
+    w = code.packed[1]
+    rc = reverse_complement_packed(w, 3)
+    assert 0 not in (w, rc) and rc != w
+    subset = Code(3, [v for v in code.packed if v not in (w, rc)])
+    report = dna_code_report(subset, 2, "symbol")
+    assert not report.closed_under_module_ops
+    assert report.rc_closed_without_fixed_points
+    assert report.similarity_within_bound
+    assert not report.is_dna_code
+    assert dna_code_report(code, 2, "symbol").is_dna_code
 
 
 def test_dna_code_report_describe():

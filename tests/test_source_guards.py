@@ -33,24 +33,39 @@ def test_poly_classes_define_no_method_twice():
     assert classes["PolyZ4"] & classes["PolyR"] <= {"__repr__", "to_power_str"}
 
 
-def test_cli_prints_only_in_main():
-    # Each subcommand returns one document and main alone prints it, as JSON
-    # or through the subcommand's renderer; a print anywhere else would be a
-    # second output path that --json does not see.
+def _calls_in_cli(name):
+    """Line numbers of the calls to ``name`` in cli.py: all of them, and
+    those inside main."""
     path = Path(dnacyclic.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
 
-    def prints(node):
-        return [
+    def calls(node):
+        return sorted(
             call.lineno
             for call in ast.walk(node)
             if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Name)
-            and call.func.id == "print"
-        ]
+            and call.func.id == name
+        )
 
     (main,) = [
         f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"
     ]
-    assert prints(main)
-    assert sorted(prints(tree)) == sorted(prints(main))
+    return calls(tree), calls(main)
+
+
+def test_cli_prints_only_in_main():
+    # Each subcommand returns one document and main alone prints it, as JSON
+    # or through the subcommand's renderer; a print anywhere else would be a
+    # second output path that --json does not see.
+    everywhere, in_main = _calls_in_cli("print")
+    assert in_main
+    assert everywhere == in_main
+
+
+def test_cli_loads_caps_only_in_main():
+    # main loads the caps once and hands them to every subcommand, so none
+    # can ignore --config and the cap flags.
+    everywhere, in_main = _calls_in_cli("load_caps")
+    assert len(in_main) == 1
+    assert everywhere == in_main
