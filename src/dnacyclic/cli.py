@@ -385,30 +385,50 @@ def iter_catalog_specs(n: int, g2_family=None, max_n: int = MAX_N_DEFAULT):
     return specs
 
 
-def _catalog_entry(spec: CodeSpec, caps: Caps) -> dict:
-    """One catalog entry; its code is freed before the next spec's is built."""
+def _code_fields(code: Code, caps: Caps) -> dict:
+    """The entry fields after the condition reports, which depend on the
+    code alone: the GC spectrum and both deletion distances."""
+    fields = {"gc_spectrum": gc_spectrum(code)}
+    for granularity in ("symbol", "nucleotide"):
+        key = f"deletion_distance_{granularity}"
+        try:
+            report = _similarity(code, granularity, caps)
+        except PairCapExceeded as exc:
+            fields[key] = f"skipped: {exc}"
+        else:
+            fields[key] = None if report is None else report.deletion_distance
+    return fields
+
+
+def _catalog_entry(spec: CodeSpec, caps: Caps, memo: dict) -> dict:
+    """One catalog entry; its code is freed before the next spec's is built.
+
+    memo maps a size to (generator words, describe(), _code_fields) of each
+    distinct code so far.  A code holding a stored code's generator words
+    contains it, and equals it if as large, so each code is analysed once
+    and the entries of one code share those field objects.
+    """
     entry: dict = {"spec": spec.describe()}
     try:
         code = Code.from_spec(spec, cap=caps.enumeration_cap)
     except EnumerationCapExceeded as exc:
         entry["skipped"] = str(exc)
         return entry
-    entry["code"] = code.describe()
+    seen = memo.setdefault(code.cardinality, [])
+    for gens, described, fields in seen:
+        if all(g in code for g in gens):
+            break
+    else:
+        described, fields = code.describe(), _code_fields(code, caps)
+        seen.append((spec.generator_words, described, fields))
+    entry["code"] = described
     for name in ("reversible", "reverse_complement"):
         report = _condition_report(spec, code, name)
         if isinstance(report, SpecError):
             entry[name] = {"error": str(report)}
         else:
             entry[name] = {k: getattr(report, k) for k in _VERDICTS}
-    entry["gc_spectrum"] = gc_spectrum(code)
-    for granularity in ("symbol", "nucleotide"):
-        key = f"deletion_distance_{granularity}"
-        try:
-            report = _similarity(code, granularity, caps)
-        except PairCapExceeded as exc:
-            entry[key] = f"skipped: {exc}"
-        else:
-            entry[key] = None if report is None else report.deletion_distance
+    entry.update(fields)
     return entry
 
 
@@ -416,7 +436,8 @@ def cmd_catalog(args: argparse.Namespace, caps: Caps) -> "tuple[dict, int]":
     _require_valid_n(args.n, caps.max_n)
     family = _widened_g2_family(args, caps.enumeration_cap)
     specs = iter_catalog_specs(args.n, g2_family=family, max_n=caps.max_n)
-    entries = [_catalog_entry(spec, caps) for spec in specs]
+    memo: dict = {}
+    entries = [_catalog_entry(spec, caps, memo) for spec in specs]
 
     # The first entry of greatest symbol D among those of each cardinality.
     best: dict[int, dict] = {}

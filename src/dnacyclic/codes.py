@@ -18,6 +18,8 @@ C-level operation or two on the integer.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .polynomials import PolyR, PolyZ4
@@ -114,29 +116,63 @@ def is_one_plus_u_multiple_packed(packed: int, n: int) -> bool:
     return (packed >> 4) & low == packed & low
 
 
-def _z4_span(rows, n: int, cap: int) -> set[int]:
-    """The Z4-span of packed rows, refused once it would hold more than cap
-    words.
+def _howell_basis(rows, n: int) -> "list[tuple[int, int]]":
+    """A Howell basis (Howell, "Spans in the module (Z_m)^s", 1986) of the
+    Z4-span of packed rows, as (row, order) pairs: each row has its own
+    leading digit, 1 (order 4) or 2 (order 2).  A row led by 2 also reduces
+    its double, and a unit-led row displaces a row led by 2, which is then
+    reduced less twice the new row.  So the sums of t_i * b_i, t_i below
+    b_i's order, are the span, each once.  No digit passes 12 before the
+    mask, so t * w is a scalar multiple and x - t*b is x + (4 - t)*b."""
+    mask = _every_byte(_ADD_NIBBLE_MASK, n)
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            k = (r.bit_length() - 1) >> 2
+            d = (r >> 4 * k) & 3
+            b = basis.get(k, 0)
+            pivot = (b >> 4 * k) & 3
+            if pivot and not (pivot == 2 and d & 1):
+                r = (r + (4 - d // pivot) * b) & mask
+                continue
+            if d & 1:
+                r = (d * r) & mask  # leading digit d * d = 1 (mod 4)
+            basis[k] = r
+            if d == 2:
+                r = (2 * r) & mask
+            elif b:
+                r = (b + 2 * r) & mask
+            else:
+                break
+    return [(b, 4 if (b >> 4 * k) & 1 else 2) for k, b in basis.items()]
 
-    A row r outside the span has order 2 modulo it when 2r is in the span,
-    and 4 otherwise.  The cosets span + t*r for t < order are disjoint, so
-    each step's size is exact and no word past the cap is ever built.
-    """
-    if cap < 1:
+
+def _ideal_rows(words, n: int) -> "list[int]":
+    """The rows x^i*w and x^i*(u*w) of each packed word w: their Z4-span is
+    the ideal the words generate, since every scalar a + bu is a*1 + b*u."""
+    rows = []
+    for packed in words:
+        for _ in range(n):
+            rows += (packed, u_times_packed(packed, n))
+            packed = _rotate(packed, n)
+    return rows
+
+
+def ideal_cardinality(words, n: int) -> int:
+    """The size of the ideal the packed words generate; no word is built."""
+    return math.prod(order for _, order in _howell_basis(_ideal_rows(words, n), n))
+
+
+def _z4_span(rows, n: int, cap: int) -> "list[int]":
+    """The Z4-span of packed rows, each word once, refused before any word is
+    built when it holds more than cap words."""
+    basis = _howell_basis(rows, n)
+    if math.prod(order for _, order in basis) > cap:
         raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
     mask = _every_byte(_ADD_NIBBLE_MASK, n)
-    span = {0}
-    for r in rows:
-        if r in span:
-            continue
-        order = 2 if (r + r) & mask in span else 4
-        if len(span) * order > cap:
-            raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
-        coset = list(span)
-        step = r
-        for _ in range(order - 1):
-            span.update([(w + step) & mask for w in coset])
-            step = (step + r) & mask
+    span = [0]
+    for b, order in basis:
+        span = [(w + m) & mask for m in [t * b for t in range(order)] for w in span]
     return span
 
 
@@ -191,6 +227,11 @@ class CodeSpec:
             gens.append(self.g3.to_ring_poly() * ONE_PLUS_U)
         return gens
 
+    @functools.cached_property
+    def generator_words(self) -> "tuple[int, ...]":
+        """The generators as packed words, reduced mod x^n - 1."""
+        return tuple(_poly_to_packed(g, self.n) for g in self.generator_polys())
+
     def sort_key(self):
         g2_key = tuple(c.pair for c in self.g2.coeffs)
         g3_key = self.g3.coeffs if self.g3 is not None else None
@@ -219,6 +260,9 @@ class Code:
     from_spec are the Z4-span of the generator rows, hence ideals; is_ideal
     re-checks the module operations on any word set."""
 
+    #: True on ideals by construction: from_spec, and their 1+u subcodes.
+    _known_ideal = False
+
     def __init__(self, n: int, packed_words) -> None:
         self.n = n
         self.packed = tuple(sorted(set(packed_words)))
@@ -227,14 +271,10 @@ class Code:
     @classmethod
     def from_spec(cls, spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> "Code":
         spec.require_valid()
-        n = spec.n
-        rows = []
-        for gen in spec.generator_polys():
-            packed = _poly_to_packed(gen, n)
-            for _ in range(n):
-                rows += (packed, u_times_packed(packed, n))
-                packed = _rotate(packed, n)
-        return cls(n, _z4_span(rows, n, cap))
+        rows = _ideal_rows(spec.generator_words, spec.n)
+        code = cls(spec.n, _z4_span(rows, spec.n, cap))
+        code._known_ideal = True
+        return code
 
     # -- basic views ----------------------------------------------------------
 
@@ -281,11 +321,12 @@ class Code:
 
     @functools.cached_property
     def min_hamming_distance(self) -> "int | None":
-        """Minimum nonzero weight; None for the zero code (undefined).
-
-        Equals the minimum pairwise distance for an ideal (see is_ideal),
-        which is closed under subtraction.
-        """
+        """Minimum distance between two distinct words, None under 2 words:
+        the minimum nonzero weight for an ideal (closed under subtraction),
+        and the minimum over every pair for any other word set."""
+        if not (self._known_ideal or self.is_ideal()):
+            pairs = itertools.combinations(self.packed, 2)
+            return min((_word_weight(a ^ b, self.n) for a, b in pairs), default=None)
         nonzero = [i for i in range(1, self.n + 1) if self.weight_enumerator[i]]
         return min(nonzero) if nonzero else None
 
@@ -293,23 +334,19 @@ class Code:
         """The subcode of words that are multiples of 1+u, i.e. words whose
         every coordinate lies in the ideal generated by 1+u."""
         kept = [w for w in self.packed if is_one_plus_u_multiple_packed(w, self.n)]
-        return Code(self.n, kept)
+        subcode = Code(self.n, kept)
+        subcode._known_ideal = self._known_ideal  # the meet of two ideals
+        return subcode
 
     def is_ideal(self) -> bool:
         """True iff the word set is closed under addition, the scalars of R
-        and x*, i.e. is an ideal of R[x]/(x^n - 1).
-
-        The Z4-span of the words, their u-multiples and their shifts contains
-        the set, and equals it exactly when the set is closed under addition,
-        u* and x*; R is spanned over Z4 by 1 and u, so that is closure under
-        every scalar.  The span is refused past |S| words.
-        """
-        n = self.n
-        rows = [r for w in self.packed for r in (w, u_times_packed(w, n), _rotate(w, n))]
-        try:
-            return _z4_span(rows, n, len(self.packed)) == self._packed_set
-        except EnumerationCapExceeded:
-            return False
+        and x*, i.e. is an ideal of R[x]/(x^n - 1): the Z4-span of the words
+        holds them, so is them iff it has |S| words, and R is spanned over Z4
+        by 1 and u, so closure under u* gives closure under every scalar."""
+        n, words = self.n, self._packed_set
+        return all(
+            u_times_packed(w, n) in words and _rotate(w, n) in words for w in words
+        ) and math.prod(order for _, order in _howell_basis(words, n)) == len(words)
 
     def describe(self) -> dict:
         return {

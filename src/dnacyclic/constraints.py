@@ -1,12 +1,17 @@
 """Reversibility and reverse-complement analysis of enumerated codes.
 
-Two independent sources of truth are kept side by side: brute-force verdicts
-computed directly on the enumerated word set, and polynomial condition checks
-on the generators.  One checker builds the conditions for either arity, before
-any enumeration, and returns them with the brute-force verdict and an
-agreement flag, so a divergence between the generator conditions and the
-enumerated reality is recorded rather than hidden.  reversible_check,
+Two independent sources of truth are kept side by side: the exact verdict
+on the code (reported as ``brute_force``) and polynomial condition checks on
+the generators.  One checker builds the conditions for either arity, before
+any enumeration, and returns them with the verdict and an agreement flag, so
+a divergence is recorded rather than hidden.  reversible_check,
 reverse_complement_check and their four arity-specific forms all call it.
+
+The verdict scans no words.  Reversal maps x^i * g to a cyclic shift of
+rev(g) and commutes with addition and u, so the code is reversible iff it
+holds rev(g) for each generator word g; rc(w) = (1+u)*1 - rev(w), so it is
+rc-closed iff it also holds (1+u)*1.  The word-scan oracles
+is_reversible_bruteforce and is_rc_closed_bruteforce stay for the tests.
 
 The oracles and the GC spectrum run on packed words through the transforms
 in codes; the tuple transforms here (reverse_word, theta_image, ...) serve
@@ -30,6 +35,7 @@ from .codes import (
     SpecError,
     constant_word,
     gc_count_packed,
+    ideal_cardinality,
     reverse_complement_packed,
     reverse_packed,
 )
@@ -122,7 +128,7 @@ def rc_closed_without_fixed_points(words) -> bool:
 @dataclass
 class ConditionReport:
     """Outcome of one checker: named conditions, the combined verdict they
-    imply, the brute-force verdict on the enumerated code, and agreement."""
+    imply, the exact verdict on the code, and agreement."""
 
     kind: str
     conditions: dict[str, bool]
@@ -195,11 +201,14 @@ def _generator_conditions(spec: CodeSpec):
 def _check(
     spec: CodeSpec, code: "Code | None", cap: int, rc: bool, single: "bool | None" = None
 ) -> ConditionReport:
-    """The one checker: generator conditions first, then the enumerated code
-    (built only when not given) for the membership condition and brute force.
+    """The one checker: generator conditions first, then the code (built
+    only when not given) for the membership condition and the exact verdict.
 
     rc adds membership of the constant word with every coordinate 3*(1+u)
     to the reversibility conditions.  single, when given, requires that arity.
+    A given code must be the spec's own (ValueError unless it is an ideal of
+    the spec's size holding every generator word).  Every CLI path passes
+    Code.from_spec(spec); if one ever did not, the CLI would exit 4.
     """
     spec.require_valid()
     if single is not None and single != spec.is_single_generator:
@@ -209,15 +218,20 @@ def _check(
             else "two-generator checker requires g3"
         )
     conditions, witnesses, verdict = _generator_conditions(spec)
+    gens = spec.generator_words
     if code is None:
         code = Code.from_spec(spec, cap=cap)
+    elif not (
+        code.n == spec.n and code.cardinality == ideal_cardinality(gens, spec.n)
+        and all(g in code for g in gens) and (code._known_ideal or code.is_ideal())
+    ):
+        raise ValueError(f"the code given is not the code of {spec.describe()}")
+    brute = all(reverse_packed(g, spec.n) in code for g in gens)
     if rc:
         member = constant_word(COMPLEMENT_MEMBERSHIP_ELEMENT, code.n) in code
         conditions["complement_constant_in_code"] = member
         verdict = verdict and member
-        brute = is_rc_closed_bruteforce(code)
-    else:
-        brute = is_reversible_bruteforce(code)
+        brute = brute and member
     arity = "single" if spec.is_single_generator else "two"
     return ConditionReport(
         kind=f"{'reverse-complement' if rc else 'reversible'}-{arity}-generator",

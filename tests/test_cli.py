@@ -278,6 +278,37 @@ def test_catalog_widened_g2_family(capsys):
     assert json.loads(out)["entry_count"] == 117
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["3"],
+        ["5", "--cap", "16384"],
+        ["7", "--cap", "16384"],
+        ["3", "--g2-degree-bound", "1", "--g2-coeffs", "0,1,1+u"],
+    ],
+)
+def test_catalog_memo_matches_a_fresh_analysis_per_spec(monkeypatch, argv):
+    # The catalog analyses each distinct code once and reuses its fields for
+    # every later spec of that code; the entries must equal those built with
+    # an empty memo for each spec.
+    args = cli.build_parser().parse_args(["catalog", *argv])
+    caps = cli.load_caps(None, args)
+    analysed = []
+    fields = cli._code_fields
+    monkeypatch.setattr(
+        cli, "_code_fields", lambda code, caps: analysed.append(code) or fields(code, caps)
+    )
+    doc, _ = cli.cmd_catalog(args, caps)
+    memo_calls = len(analysed)
+    specs = iter_catalog_specs(
+        args.n, g2_family=cli._widened_g2_family(args, caps.enumeration_cap)
+    )
+    assert doc["entries"] == [cli._catalog_entry(spec, caps, {}) for spec in specs]
+    enumerated = len(analysed) - memo_calls
+    assert memo_calls == len(set(analysed[:memo_calls])) < enumerated
+    assert enumerated == sum("skipped" not in entry for entry in doc["entries"])
+
+
 def test_catalog_widening_flags_must_be_paired(capsys):
     code, _, err = run(capsys, "catalog", "3", "--g2-degree-bound", "1")
     assert code == 2

@@ -12,9 +12,12 @@ from dnacyclic.codes import (
     CodeSpec,
     EnumerationCapExceeded,
     SpecError,
+    _ideal_rows,
+    _z4_span,
     constant_word,
     decode_word,
     encode_word,
+    ideal_cardinality,
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
 from dnacyclic.ring import (
@@ -25,7 +28,7 @@ from dnacyclic.ring import (
     RingElement,
     ZERO,
 )
-from spec_strategies import code_specs
+from spec_strategies import code_specs, widened_n3_specs
 
 
 def p4(text):
@@ -264,6 +267,106 @@ def test_invalid_spec_is_rejected_at_enumeration():
         Code.from_spec(spec_from(4, "[3,1]"))
 
 
+# -- Howell basis --------------------------------------------------------------------
+
+
+def z4_span_size(rows, n):
+    """Independent size oracle for the Z4-span of packed rows, on digit
+    lists: take a unit entry anywhere as a pivot, scale it to 1 and clear
+    its column in every other row, until no unit is left.  The k1 pivot rows
+    span 4^k1 words, and the rows left are all even, so they span 2^k2 words
+    for their GF(2) rank k2 once halved.  The two spans meet only in 0."""
+    digits = [[(r >> 4 * k) & 3 for k in range(2 * n)] for r in set(rows)]
+    units = 0
+    while True:
+        hit = next(
+            ((i, j) for i, row in enumerate(digits) for j, d in enumerate(row) if d & 1),
+            None,
+        )
+        if hit is None:
+            break
+        i, j = hit
+        pivot = digits.pop(i)
+        pivot = [pivot[j] * d % 4 for d in pivot]  # 1 and 3 are their own inverses
+        digits = [[(d - row[j] * p) % 4 for d, p in zip(row, pivot)] for row in digits]
+        units += 1
+    basis = []  # GF(2) vectors with distinct leading bits, largest first
+    for row in digits:
+        v = int("".join(str(d // 2) for d in row) or "0", 2)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return 4**units * 2 ** len(basis)
+
+
+def test_basis_size_matches_enumeration_and_an_independent_size():
+    # On every default catalog spec with n <= 9 and on all 3,328 widened n=3
+    # specs: the basis size equals the elimination oracle, a spec of at most
+    # 65,536 words enumerates to exactly that many distinct words, and a
+    # larger one is refused before any word is built.
+    cap = 65536
+    specs = [s for n in (1, 3, 5, 7, 9) for s in iter_catalog_specs(n)]
+    specs += widened_n3_specs()
+    enumerated = 0
+    for spec in specs:
+        rows = _ideal_rows(spec.generator_words, spec.n)
+        size = ideal_cardinality(spec.generator_words, spec.n)
+        assert size == z4_span_size(rows, spec.n), spec.describe()
+        if size > cap:
+            with pytest.raises(EnumerationCapExceeded):
+                Code.from_spec(spec, cap=cap)
+            continue
+        span = _z4_span(rows, spec.n, cap)
+        assert len(span) == len(set(span)) == size, spec.describe()
+        enumerated += 1
+    assert len(specs) == 15 + 65 + 65 + 315 + 315 + 3328
+    assert enumerated > 3500
+
+
+def brute_closure(rows, n):
+    """All sums of the rows, by adding one row at a time to every word
+    reached so far."""
+    mask = int.from_bytes(b"\x33" * n, "big")
+    span = {0}
+    frontier = [0]
+    while frontier:
+        w = frontier.pop()
+        for r in rows:
+            v = (w + r) & mask
+            if v not in span:
+                span.add(v)
+                frontier.append(v)
+    return span
+
+
+@st.composite
+def packed_row_sets(draw):
+    """0-7 packed rows of length 1-5, sparse and often even, so rows share
+    leading digits, are led by 2, and displace one another."""
+    n = draw(st.integers(1, 5))
+    mask = int.from_bytes(b"\x33" * n, "big")
+    digits = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=2 * n, max_size=2 * n)
+    rows = []
+    for scale, ds in draw(st.lists(st.tuples(st.sampled_from([1, 2]), digits), max_size=7)):
+        rows.append(scale * sum(d << 4 * k for k, d in enumerate(ds)) & mask)
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_row_sets())
+@example((1, [0x20, 0x10]))  # a unit row displaces a row led by 2
+@example((1, [0x21, 0x10]))  # ... twice, through the remainder
+@example((2, [0x2000, 0x0002, 0x1000]))
+def test_span_matches_brute_force_closure(case):
+    n, rows = case
+    closure = brute_closure(rows, n)
+    span = _z4_span(rows, n, len(closure))
+    assert len(span) == len(closure) and set(span) == closure
+    with pytest.raises(EnumerationCapExceeded):
+        _z4_span(rows, n, len(closure) - 1)
+
+
 # -- module structure ----------------------------------------------------------------
 
 
@@ -437,6 +540,27 @@ def test_subcode_identity_characterization_over_full_lattice():
                 spec.g2.is_zero or spec.g2 == spec.g1.to_ring_poly()
             ), f"violation inside the safe family: {key}"
     assert violations == SUBCODE_IDENTITY_VIOLATIONS
+
+
+def test_min_distance_of_a_word_set_that_is_not_an_ideal():
+    # Both words have weight 3 but differ in one coordinate; the minimum
+    # nonzero weight is the distance only for an ideal.
+    one, two = RingElement(1), RingElement(2)
+    code = Code(3, [encode_word((one, one, one)), encode_word((one, one, two))])
+    assert not code.is_ideal()
+    assert code.min_hamming_distance == 1
+    assert code.describe()["min_hamming_distance"] == 1
+    assert Code(3, [encode_word((one, one, one))]).min_hamming_distance is None
+
+
+def test_min_distance_of_codes_built_as_ideals_skips_the_ideal_test(monkeypatch):
+    def never(self):
+        raise AssertionError("is_ideal ran on a code that is an ideal by construction")
+
+    code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
+    monkeypatch.setattr(Code, "is_ideal", never)
+    assert code.min_hamming_distance == 3
+    assert code.subcode_one_plus_u().min_hamming_distance == 3
 
 
 def test_describe_shape():

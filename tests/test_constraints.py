@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from dnacyclic.codes import Code, CodeSpec, SpecError, constant_word
+from dnacyclic.cli import iter_catalog_specs
+from dnacyclic.codes import (
+    Code,
+    CodeSpec,
+    EnumerationCapExceeded,
+    SpecError,
+    constant_word,
+    encode_word,
+)
 from dnacyclic.constraints import (
     COMPLEMENT_MEMBERSHIP_ELEMENT,
     ConditionReport,
@@ -31,6 +39,7 @@ from dnacyclic.constraints import (
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
 from dnacyclic.ring import ALL_ELEMENTS, ONE_PLUS_U, RingElement, ZERO
+from spec_strategies import widened_n3_specs
 
 
 def spec_from(n, g1, g2="[]", g3=None):
@@ -372,3 +381,62 @@ def test_checker_is_sound_over_dense_length_three_sweep():
     assert total == 702
     assert errors == 204
     assert misses == 183
+
+
+# -- membership verdicts ---------------------------------------------------------------
+
+
+def test_membership_verdicts_match_the_word_scan_oracles():
+    # brute_force comes from generator membership; the word scans decide the
+    # same question from every word.  Cases: every default catalog spec with
+    # n <= 7 of at most 4,096 words, all 3,328 widened n=3 specs, and the n=9
+    # codes of catalog 9 --cap 16384.  Specs the checkers refuse (deg g2 >
+    # deg g1) have no verdict.
+    cases = [(s, 4096) for n in (1, 3, 5, 7) for s in iter_catalog_specs(n)]
+    cases += [(s, 4096) for s in widened_n3_specs()]
+    cases += [(s, 16384) for s in iter_catalog_specs(9)]
+    oracle = {}  # word tuple -> (reversible, rc-closed), one scan per code
+    compared = Counter()
+    for spec, cap in cases:
+        try:
+            code = Code.from_spec(spec, cap=cap)
+        except EnumerationCapExceeded:
+            continue
+        if code.packed not in oracle:
+            oracle[code.packed] = (
+                is_reversible_bruteforce(code),
+                is_rc_closed_bruteforce(code),
+            )
+        for checker, expected in zip(
+            (reversible_check, reverse_complement_check), oracle[code.packed]
+        ):
+            try:
+                report = checker(spec, code=code)
+            except SpecError:
+                continue
+            assert report.brute_force == expected, (checker.__name__, spec.describe())
+            compared[expected] += 1
+    # Both verdicts occur often, so neither direction goes untested; the
+    # counts are pinned so a change in the cases is visible.
+    assert compared == {True: 5377, False: 811}
+
+
+def test_checker_refuses_a_code_that_is_not_the_specs_own():
+    # The membership verdict holds only for the spec's own ideal, so another
+    # spec's code, or a word set of the right size that holds the generator
+    # words but is not an ideal, is refused with a plain ValueError (the CLI
+    # would exit 4), never a SpecError (exit 2).
+    spec = spec_from(3, "[1,1,1]", g2="[1,1,1]")
+    code = Code.from_spec(spec)
+    other = Code.from_spec(spec_from(3, "[3,1]"))
+    outsider = encode_word((RingElement(1, 0), ZERO, ZERO))
+    assert outsider not in code
+    dropped = max(set(code.packed) - set(spec.generator_words) - {0})
+    not_ideal = Code(3, (set(code.packed) - {dropped}) | {outsider})
+    assert not_ideal.cardinality == code.cardinality
+    for checker in (reversible_check, reverse_complement_check):
+        assert checker(spec, code=code).brute_force
+        for wrong in (other, not_ideal, Code.from_spec(spec_from(1, "[1]"))):
+            with pytest.raises(ValueError) as excinfo:
+                checker(spec, code=wrong)
+            assert not isinstance(excinfo.value, SpecError)

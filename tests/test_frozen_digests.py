@@ -23,6 +23,12 @@ text "deletion unavailable" line of the zero code, ``check`` with every
 generator analysis in both formats, and the full widened n=3 catalog (all 16
 coefficients, deg g2 <= 1, about 8 s), the only catalog that reaches all 15
 ideals.
+The fifth group was recorded before codes were sized from a basis ahead of
+enumeration, before the reversible and rc verdicts came from generator
+membership, and before the catalog analysed each distinct code once:
+``catalog 9 --cap 16384 --json`` (the benchmark's catalog op), ``check`` of
+a 4,096-word n=7 code that is neither reversible nor rc-closed, and of a
+256-word n=9 code that is reversible but not rc-closed.
 
 A change that means to alter one of these outputs says so in CHANGES.md and
 re-records only that case.
@@ -96,6 +102,9 @@ FROZEN = [
     (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--reversible", "--rc", "--gc"], 1, "0c403efeb7179e812ffd2addbaddc4865524d0dddd2868d9422c25240109e456"),
     (["check", "--n", "5", "--g1", "[3,0,0,0,0,1]", "--g2", "[3,1]", "--reversible", "--rc", "--gc", "--json"], 1, "69e7e229156739ec713326ff5f9081fe361067f083eda5485c627056736568b7"),
     (["catalog", "3", "--g2-degree-bound", "1", "--g2-coeffs", ALL_COEFFS, "--json"], 0, "0aca428fec17aa4bc573403cfc75c35e944b8011850c1bd9a6e37cc4fb100742"),
+    (["catalog", "9", "--cap", "16384", "--json"], 0, "cb1ef5e351da0a9af08c7d3cd9c3bbe98b057a514b83cef15234aecf43327de4"),
+    (["check", "--n", "7", "--g1", "[1,1,3,2,1]", "--reversible", "--rc", "--gc", "--json"], 1, "b3827702c0c7dae88eae6496b0bf2ebb68d7e8105138f618871bf5f73a47e4d6"),
+    (["check", "--n", "9", "--g1", "[3,1,0,3,1,0,3,1]", "--reversible", "--rc"], 1, "a1b8f762fa0ca53d188fd6a20cc9b1396ae2504f2c7a8038ba33c9ce7de4c9fb"),
 ]
 
 

@@ -33,6 +33,22 @@ def test_poly_classes_define_no_method_twice():
     assert classes["PolyZ4"] & classes["PolyR"] <= {"__repr__", "to_power_str"}
 
 
+def test_package_never_calls_the_word_scan_oracles():
+    # The reversible and rc verdicts come from generator membership; the
+    # word-scan oracles stay public for the tests and are called nowhere in
+    # the package.
+    oracles = {"is_reversible_bruteforce", "is_rc_closed_bruteforce"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in oracles
+             or getattr(node.func, "attr", None) in oracles)
+    ]
+    assert found == []
+
+
 def _calls_in_cli(name):
     """Line numbers of the calls to ``name`` in cli.py: all of them, and
     those inside main."""
