@@ -26,15 +26,10 @@ from .constraints import (
     is_rc_closed_bruteforce,
     is_reversible_bruteforce,
     phi_image,
-    rc_closed_without_fixed_points,
     reverse_complement_check,
-    reverse_complement_pair_check,
-    reverse_complement_single_check,
     reverse_complement_word,
     reverse_word,
     reversible_check,
-    reversible_pair_check,
-    reversible_single_check,
     theta_image,
 )
 from .deletion import (
@@ -47,9 +42,7 @@ from .deletion import (
     deletion_similarity,
     dna_code_report,
     hybridization_energy,
-    is_dna_code,
     lcs_length,
-    lcs_witness,
     subcode_deletion_distance_check,
 )
 from .polynomials import (

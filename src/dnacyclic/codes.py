@@ -232,6 +232,11 @@ class CodeSpec:
         """The generators as packed words, reduced mod x^n - 1."""
         return tuple(_poly_to_packed(g, self.n) for g in self.generator_polys())
 
+    @functools.cached_property
+    def cardinality(self) -> int:
+        """The size of the spec's code; no word is built."""
+        return ideal_cardinality(self.generator_words, self.n)
+
     def sort_key(self):
         g2_key = tuple(c.pair for c in self.g2.coeffs)
         g3_key = self.g3.coeffs if self.g3 is not None else None
@@ -258,7 +263,7 @@ class CodeSpec:
 class Code:
     """A set of length-n words, kept sorted in packed form.  Codes built by
     from_spec are the Z4-span of the generator rows, hence ideals; is_ideal
-    re-checks the module operations on any word set."""
+    checks the module operations on any other word set."""
 
     #: True on ideals by construction: from_spec, and their 1+u subcodes.
     _known_ideal = False
@@ -324,7 +329,7 @@ class Code:
         """Minimum distance between two distinct words, None under 2 words:
         the minimum nonzero weight for an ideal (closed under subtraction),
         and the minimum over every pair for any other word set."""
-        if not (self._known_ideal or self.is_ideal()):
+        if not self.is_ideal():
             pairs = itertools.combinations(self.packed, 2)
             return min((_word_weight(a ^ b, self.n) for a, b in pairs), default=None)
         nonzero = [i for i in range(1, self.n + 1) if self.weight_enumerator[i]]
@@ -342,7 +347,10 @@ class Code:
         """True iff the word set is closed under addition, the scalars of R
         and x*, i.e. is an ideal of R[x]/(x^n - 1): the Z4-span of the words
         holds them, so is them iff it has |S| words, and R is spanned over Z4
-        by 1 and u, so closure under u* gives closure under every scalar."""
+        by 1 and u, so closure under u* gives closure under every scalar.
+        Codes that are ideals by construction skip the test."""
+        if self._known_ideal:
+            return True
         n, words = self.n, self._packed_set
         return all(
             u_times_packed(w, n) in words and _rotate(w, n) in words for w in words

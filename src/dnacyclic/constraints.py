@@ -4,8 +4,9 @@ Two independent sources of truth are kept side by side: the exact verdict
 on the code (reported as ``brute_force``) and polynomial condition checks on
 the generators.  One checker builds the conditions for either arity, before
 any enumeration, and returns them with the verdict and an agreement flag, so
-a divergence is recorded rather than hidden.  reversible_check,
-reverse_complement_check and their four arity-specific forms all call it.
+a divergence is recorded rather than hidden.  It is reached through
+reversible_check and reverse_complement_check; the report's kind names the
+arity.
 
 The verdict scans no words.  Reversal maps x^i * g to a cyclic shift of
 rev(g) and commutes with addition and u, so the code is reversible iff it
@@ -35,7 +36,6 @@ from .codes import (
     SpecError,
     constant_word,
     gc_count_packed,
-    ideal_cardinality,
     reverse_complement_packed,
     reverse_packed,
 )
@@ -106,20 +106,6 @@ def is_reversible_bruteforce(code: Code) -> bool:
 
 def is_rc_closed_bruteforce(code: Code) -> bool:
     return all(reverse_complement_packed(w, code.n) in code for w in code.packed)
-
-
-def rc_closed_without_fixed_points(words) -> bool:
-    """Every word's reverse complement is in the set and differs from it.
-
-    Works on any iterable of same-length tuples of ring elements (not only
-    enumerated codes), since fixed points cannot occur at odd length.
-    """
-    pool = set(words)
-    for w in pool:
-        rc = reverse_complement_word(w)
-        if rc == w or rc not in pool:
-            return False
-    return True
 
 
 # -- generator condition checks ---------------------------------------------------
@@ -198,32 +184,25 @@ def _generator_conditions(spec: CodeSpec):
     return conditions, witnesses, reciprocal and g2_holds
 
 
-def _check(
-    spec: CodeSpec, code: "Code | None", cap: int, rc: bool, single: "bool | None" = None
-) -> ConditionReport:
-    """The one checker: generator conditions first, then the code (built
-    only when not given) for the membership condition and the exact verdict.
+def _check(spec: CodeSpec, code: "Code | None", cap: int, rc: bool) -> ConditionReport:
+    """The one checker, for either arity: generator conditions first, then
+    the code (built only when not given) for the membership condition and the
+    exact verdict.
 
     rc adds membership of the constant word with every coordinate 3*(1+u)
-    to the reversibility conditions.  single, when given, requires that arity.
-    A given code must be the spec's own (ValueError unless it is an ideal of
-    the spec's size holding every generator word).  Every CLI path passes
-    Code.from_spec(spec); if one ever did not, the CLI would exit 4.
+    to the reversibility conditions.  A given code must be the spec's own
+    (ValueError unless it is an ideal of the spec's size holding every
+    generator word).  Every CLI path passes Code.from_spec(spec); if one ever
+    did not, the CLI would exit 4.
     """
     spec.require_valid()
-    if single is not None and single != spec.is_single_generator:
-        raise SpecError(
-            "single-generator checker requires a spec without g3"
-            if single
-            else "two-generator checker requires g3"
-        )
     conditions, witnesses, verdict = _generator_conditions(spec)
     gens = spec.generator_words
     if code is None:
         code = Code.from_spec(spec, cap=cap)
     elif not (
-        code.n == spec.n and code.cardinality == ideal_cardinality(gens, spec.n)
-        and all(g in code for g in gens) and (code._known_ideal or code.is_ideal())
+        code.n == spec.n and code.cardinality == spec.cardinality
+        and all(g in code for g in gens) and code.is_ideal()
     ):
         raise ValueError(f"the code given is not the code of {spec.describe()}")
     brute = all(reverse_packed(g, spec.n) in code for g in gens)
@@ -255,31 +234,3 @@ def reverse_complement_check(
 ) -> ConditionReport:
     """Reverse-complement conditions next to brute force, for either arity."""
     return _check(spec, code, cap, rc=True)
-
-
-def reversible_single_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """reversible_check for a spec without g3; SpecError otherwise."""
-    return _check(spec, code, cap, rc=False, single=True)
-
-
-def reversible_pair_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """reversible_check for a spec with g3; SpecError otherwise."""
-    return _check(spec, code, cap, rc=False, single=False)
-
-
-def reverse_complement_single_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """reverse_complement_check for a spec without g3; SpecError otherwise."""
-    return _check(spec, code, cap, rc=True, single=True)
-
-
-def reverse_complement_pair_check(
-    spec: CodeSpec, code: "Code | None" = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConditionReport:
-    """reverse_complement_check for a spec with g3; SpecError otherwise."""
-    return _check(spec, code, cap, rc=True, single=False)

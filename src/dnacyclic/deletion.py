@@ -61,37 +61,6 @@ def lcs_length(x, y) -> int:
     return prev[-1]
 
 
-def lcs_witness(x, y):
-    """One longest common subsequence, as a list of elements.
-
-    Full DP table plus backtracking; use lcs_length when only the number is
-    needed.
-    """
-    nx, ny = len(x), len(y)
-    table = [[0] * (ny + 1) for _ in range(nx + 1)]
-    for i in range(1, nx + 1):
-        row, prev_row = table[i], table[i - 1]
-        xi = x[i - 1]
-        for j in range(1, ny + 1):
-            if xi == y[j - 1]:
-                row[j] = prev_row[j - 1] + 1
-            else:
-                row[j] = max(prev_row[j], row[j - 1])
-    out = []
-    i, j = nx, ny
-    while i > 0 and j > 0:
-        if x[i - 1] == y[j - 1]:
-            out.append(x[i - 1])
-            i -= 1
-            j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    out.reverse()
-    return out
-
-
 def deletion_similarity(x, y) -> int:
     """S(X, Y): the longest-common-subsequence length."""
     return lcs_length(x, y)
@@ -365,14 +334,3 @@ def subcode_deletion_distance_check(
         subcode_distance=sub_report.deletion_distance,
         subcode_cardinality=subcode.cardinality,
     )
-
-
-def is_dna_code(
-    code: Code,
-    required_distance: int,
-    granularity: str = "symbol",
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> bool:
-    return dna_code_report(
-        code, required_distance, granularity=granularity, pair_cap=pair_cap
-    ).is_dna_code

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from dnacyclic import cli
+from dnacyclic import cli, codes
 from dnacyclic.cli import (
     LENGTH6_CODE_TABLE,
     LENGTH18_CODE_TABLE,
@@ -130,6 +130,23 @@ def test_check_all_verdicts_true_exits_zero(capsys):
     assert "gc_spectrum theta 0:4 3:8 6:4" in out
     assert "deletion granularity=symbol" in out
     assert "deletion_distance=2" in out
+
+
+def test_check_reduces_the_spec_rows_once_for_both_checkers(capsys, monkeypatch):
+    # One Howell reduction builds the code and one sizes the spec; the
+    # reversible and rc checkers share the spec's cached size.
+    reductions = []
+    reduce = codes._howell_basis
+    monkeypatch.setattr(
+        codes, "_howell_basis", lambda rows, n: reductions.append(n) or reduce(rows, n)
+    )
+    code, out, _ = run(
+        capsys, "check", "--n", "3", "--g1", "[1,1,1]", "--g2", "[1,1,1]",
+        "--reversible", "--rc",
+    )
+    assert code == 0
+    assert "reverse_complement brute_force=yes" in out
+    assert reductions == [3, 3]
 
 
 def test_check_failing_verdict_exits_one(capsys):

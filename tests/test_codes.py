@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dnacyclic import codes as codes_module
 from dnacyclic.cli import iter_catalog_specs
 from dnacyclic.codes import (
     Code,
@@ -19,6 +20,7 @@ from dnacyclic.codes import (
     encode_word,
     ideal_cardinality,
 )
+from dnacyclic.deletion import dna_code_report
 from dnacyclic.polynomials import PolyR, PolyZ4
 from dnacyclic.ring import (
     ALL_ELEMENTS,
@@ -554,13 +556,18 @@ def test_min_distance_of_a_word_set_that_is_not_an_ideal():
 
 
 def test_min_distance_of_codes_built_as_ideals_skips_the_ideal_test(monkeypatch):
-    def never(self):
+    # The span check of is_ideal reduces the words to a Howell basis; codes
+    # that are ideals by construction must never reach it.
+    def never(rows, n):
         raise AssertionError("is_ideal ran on a code that is an ideal by construction")
 
     code = Code.from_spec(spec_from(3, "[1,1,1]", g2="[1,1,1]"))
-    monkeypatch.setattr(Code, "is_ideal", never)
+    subcode = code.subcode_one_plus_u()
+    monkeypatch.setattr(codes_module, "_howell_basis", never)
     assert code.min_hamming_distance == 3
-    assert code.subcode_one_plus_u().min_hamming_distance == 3
+    assert subcode.min_hamming_distance == 3
+    assert dna_code_report(code, 2, "symbol").closed_under_module_ops
+    assert dna_code_report(subcode, 2, "symbol").closed_under_module_ops
 
 
 def test_describe_shape():

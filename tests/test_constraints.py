@@ -26,15 +26,10 @@ from dnacyclic.constraints import (
     is_rc_closed_bruteforce,
     is_reversible_bruteforce,
     phi_image,
-    rc_closed_without_fixed_points,
     reverse_complement_check,
-    reverse_complement_pair_check,
-    reverse_complement_single_check,
     reverse_complement_word,
     reverse_word,
     reversible_check,
-    reversible_pair_check,
-    reversible_single_check,
     theta_image,
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
@@ -83,14 +78,6 @@ def test_even_length_fixed_points_exist():
     for x in ALL_ELEMENTS:
         w = (x, x.complement())
         assert reverse_complement_word(w) == w
-
-
-def test_rc_closed_without_fixed_points_helper():
-    closed = {(x, x.complement()) for x in ALL_ELEMENTS}
-    assert not rc_closed_without_fixed_points(closed)  # all are fixed points
-    pair = {(ZERO, ZERO), (ONE_PLUS_U, ONE_PLUS_U)}
-    assert rc_closed_without_fixed_points(pair)
-    assert not rc_closed_without_fixed_points({(ZERO, ZERO)})
 
 
 # -- DNA strings --------------------------------------------------------------------
@@ -314,14 +301,6 @@ def test_arity_dispatch_and_mismatch_errors():
     assert reversible_check(single).kind == "reversible-single-generator"
     assert reversible_check(pair).kind == "reversible-two-generator"
     assert reverse_complement_check(pair).kind == "reverse-complement-two-generator"
-    with pytest.raises(SpecError):
-        reversible_single_check(pair)
-    with pytest.raises(SpecError):
-        reversible_pair_check(single)
-    with pytest.raises(SpecError):
-        reverse_complement_single_check(pair)
-    with pytest.raises(SpecError):
-        reverse_complement_pair_check(single)
 
 
 def test_report_describe_shape():

@@ -15,9 +15,7 @@ from dnacyclic.deletion import (
     deletion_similarity,
     dna_code_report,
     hybridization_energy,
-    is_dna_code,
     lcs_length,
-    lcs_witness,
     subcode_deletion_distance_check,
 )
 from dnacyclic.polynomials import PolyR, PolyZ4
@@ -30,11 +28,6 @@ def spec_from(n, g1, g2="[]", g3=None):
         g2=PolyR.from_string(g2),
         g3=None if g3 is None else PolyZ4.from_string(g3),
     )
-
-
-def is_subsequence(needle, haystack):
-    it = iter(haystack)
-    return all(c in it for c in needle)
 
 
 # -- LCS ----------------------------------------------------------------------------
@@ -59,23 +52,11 @@ def test_lcs_is_symmetric_and_bounded():
         assert lcs_length(x, x) == len(x)
 
 
-def test_lcs_witness_embeds_in_both_inputs():
-    rng = random.Random(41)
-    for _ in range(200):
-        x = "".join(rng.choice("ATGC") for _ in range(rng.randrange(10)))
-        y = "".join(rng.choice("ATGC") for _ in range(rng.randrange(10)))
-        w = lcs_witness(x, y)
-        assert len(w) == lcs_length(x, y)
-        assert is_subsequence(w, x)
-        assert is_subsequence(w, y)
-
-
 def test_lcs_works_on_ring_words():
     from dnacyclic.ring import RingElement
 
     a, b = RingElement(1, 0), RingElement(0, 1)
     assert lcs_length((a, b, a), (b, a, b)) == 2
-    assert lcs_witness((a, b, a), (b, a, b)) in ([a, b], [b, a])
 
 
 def test_deletion_similarity_alias():
@@ -173,7 +154,6 @@ def test_dna_code_predicate_at_symbol_granularity():
     assert report.rc_closed_without_fixed_points
     assert report.similarity_within_bound  # max S = 0 <= 3 - 2 - 1
     assert report.is_dna_code
-    assert is_dna_code(code, 2, "symbol")
     # Demanding one more deleted symbol breaks the bound.
     assert not dna_code_report(code, 3, "symbol").similarity_within_bound
 
