@@ -54,7 +54,6 @@ from .polynomials import (
     factor_xn_minus_1_mod2,
     factor_xn_minus_1_z4,
     graeffe_lift,
-    multiplicative_order_of_two,
 )
 from .ring import (
     ALL_ELEMENTS,

@@ -158,17 +158,9 @@ def _ideal_rows(words, n: int) -> "list[int]":
     return rows
 
 
-def ideal_cardinality(words, n: int) -> int:
-    """The size of the ideal the packed words generate; no word is built."""
-    return math.prod(order for _, order in _howell_basis(_ideal_rows(words, n), n))
-
-
-def _z4_span(rows, n: int, cap: int) -> "list[int]":
-    """The Z4-span of packed rows, each word once, refused before any word is
-    built when it holds more than cap words."""
-    basis = _howell_basis(rows, n)
-    if math.prod(order for _, order in basis) > cap:
-        raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
+def _z4_span(basis, n: int) -> "list[int]":
+    """The Z4-span of a Howell basis, each word once: the sums of t * b over
+    its (b, order) pairs with t below the order."""
     mask = _every_byte(_ADD_NIBBLE_MASK, n)
     span = [0]
     for b, order in basis:
@@ -233,9 +225,14 @@ class CodeSpec:
         return tuple(_poly_to_packed(g, self.n) for g in self.generator_polys())
 
     @functools.cached_property
+    def basis(self) -> "tuple[tuple[int, int], ...]":
+        """The Howell basis of the spec's code, as (row, order) pairs."""
+        return tuple(_howell_basis(_ideal_rows(self.generator_words, self.n), self.n))
+
+    @functools.cached_property
     def cardinality(self) -> int:
         """The size of the spec's code; no word is built."""
-        return ideal_cardinality(self.generator_words, self.n)
+        return math.prod(order for _, order in self.basis)
 
     def sort_key(self):
         g2_key = tuple(c.pair for c in self.g2.coeffs)
@@ -276,8 +273,9 @@ class Code:
     @classmethod
     def from_spec(cls, spec: CodeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> "Code":
         spec.require_valid()
-        rows = _ideal_rows(spec.generator_words, spec.n)
-        code = cls(spec.n, _z4_span(rows, spec.n, cap))
+        if spec.cardinality > cap:
+            raise EnumerationCapExceeded(f"code exceeds the {cap}-word enumeration cap")
+        code = cls(spec.n, _z4_span(spec.basis, spec.n))
         code._known_ideal = True
         return code
 

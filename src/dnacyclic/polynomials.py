@@ -9,11 +9,16 @@ mod-2 image, evaluation, x^n - 1, the signed power form).  The text grammar is t
 are integers, ring entries are "a+bu" or "(a,b)", e.g. "[3,1]" is x+3 and
 "[(1,0),(1,1)]" is 1 + (1+u)x.
 
-x^n - 1 (n odd) is factored mod 2 into irreducibles via cyclotomic cosets and
-minimal polynomials over GF(2^m), then each factor is lifted to Z4 by one
-Graeffe step: f(x)*f(-x) is a polynomial in x^2, and substituting y for x^2
-(with the sign fixed to keep the result monic) gives the unique monic lift.
-The product of the lifts is checked against x^n - 1 before returning.
+x^n - 1 (n odd) is factored mod 2 by splitting with idempotents (MacWilliams
+and Sloane, The Theory of Error-Correcting Codes, ch. 8): the coset
+polynomial e_C = sum of x^i over a 2-cyclotomic coset C satisfies e_C^2 = e_C
+mod x^n - 1, so every irreducible factor divides exactly one of e_C and
+e_C + 1, and gcds with the e_C of all cosets separate every pair of factors.
+x^n - 1 is squarefree for odd n, so ending with one piece per coset proves
+each piece irreducible.  Each factor is then lifted to Z4 by one Graeffe
+step: f(x)*f(-x) is a polynomial in x^2, and substituting y for x^2 (with
+the sign fixed to keep the result monic) gives the unique monic lift.  The
+products of the pieces and of the lifts are checked before returning.
 """
 
 from __future__ import annotations
@@ -312,87 +317,8 @@ def bpoly_gcd(f: int, g: int) -> int:
     return f
 
 
-def bpoly_mulmod(f: int, g: int, m: int) -> int:
-    return bpoly_mod(bpoly_mul(f, g), m)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def bpoly_is_irreducible(f: int) -> bool:
-    """Irreducibility over GF(2) via the x^(2^k) = x criterion."""
-    if f <= 1:
-        return False
-    m = bpoly_degree(f)
-    if m == 0:
-        return False
-    x = bpoly_mod(0b10, f)
-    h = x
-    for _ in range(m):
-        h = bpoly_mulmod(h, h, f)
-    if h != x:
-        return False
-    for p in _prime_factors(m):
-        h = x
-        for _ in range(m // p):
-            h = bpoly_mulmod(h, h, f)
-        if bpoly_gcd(h ^ x, f) != 1:
-            return False
-    return True
-
-
 def bpoly_to_poly(f: int) -> PolyZ4:
     return PolyZ4([(f >> i) & 1 for i in range(f.bit_length())])
-
-
-# -- GF(2^m) ------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _gf2m_modulus(m: int) -> int:
-    """The first irreducible degree-m binary polynomial in numeric order."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m == 1:
-        return 0b10
-    for k in range(1, 1 << m, 2):
-        f = (1 << m) | k
-        if bpoly_is_irreducible(f):
-            return f
-    raise AssertionError("unreachable: no irreducible polynomial found")
-
-
-def _gf_pow(a: int, e: int, mod: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = bpoly_mulmod(r, a, mod)
-        a = bpoly_mulmod(a, a, mod)
-        e >>= 1
-    return r
-
-
-def multiplicative_order_of_two(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be odd and positive")
-    if n == 1:
-        return 1  # mod 1 everything is 1 already
-    m, t = 1, 2 % n
-    while t != 1:
-        t = (t * 2) % n
-        m += 1
-    return m
 
 
 def cyclotomic_cosets(n: int) -> list[list[int]]:
@@ -422,54 +348,29 @@ def check_n(n: int, max_n: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _factor_mod2_masks(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (0b11,)
-    m = multiplicative_order_of_two(n)
-    mod = _gf2m_modulus(m)
-    group_order = (1 << m) - 1
-    cofactor = group_order // n
-    alpha = 0
-    for g in range(2, 1 << m):
-        cand = _gf_pow(g, cofactor, mod)
-        if cand == 1:
-            continue
-        if all(_gf_pow(cand, n // p, mod) != 1 for p in _prime_factors(n)):
-            alpha = cand
-            break
-    if not alpha:
-        raise RuntimeError("no primitive n-th root of unity found")
-
-    masks = []
-    for coset in cyclotomic_cosets(n):
-        # minimal polynomial: product of (x + alpha^i) over the coset
-        poly = [1]
-        for i in coset:
-            root = _gf_pow(alpha, i, mod)
-            nxt = [0] * (len(poly) + 1)
-            for j, cj in enumerate(poly):
-                nxt[j] ^= bpoly_mulmod(root, cj, mod)
-                nxt[j + 1] ^= cj
-            poly = nxt
-        if not all(c in (0, 1) for c in poly):
-            raise RuntimeError("coefficients left the base field")
-        masks.append(sum(c << j for j, c in enumerate(poly)))
-
-    masks.sort(key=lambda f: (bpoly_degree(f), bpoly_to_poly(f).coeffs))
+    pieces = [(1 << n) | 1]
+    cosets = cyclotomic_cosets(n)
+    for coset in cosets:
+        e = sum(1 << i for i in coset)  # idempotent: e^2 = e mod x^n + 1
+        split = ((bpoly_gcd(f, e), bpoly_gcd(f, e ^ 1)) for f in pieces)
+        pieces = [g for pair in split for g in pair if g != 1]
+    pieces.sort(key=lambda f: (bpoly_degree(f), bpoly_to_poly(f).coeffs))
     product = 1
-    for f in masks:
+    for f in pieces:
         product = bpoly_mul(product, f)
     if product != (1 << n) | 1:
         raise RuntimeError("factor product is not x^n + 1 mod 2")
-    return tuple(masks)
+    if len(pieces) != len(cosets):
+        raise RuntimeError("a factor of x^n + 1 mod 2 was left unsplit")
+    return tuple(pieces)
 
 
 def factor_xn_minus_1_mod2(n: int, max_n: int = MAX_N_DEFAULT) -> list[PolyZ4]:
     """The irreducible factors of x^n - 1 over GF(2), n odd.
 
     Returned as 0/1-coefficient polynomials sorted by (degree, ascending
-    coefficient list).  n odd makes x^n - 1 squarefree mod 2, so the
-    factorization is the set of minimal polynomials of the n-th roots of
-    unity, one per cyclotomic coset.
+    coefficient list).  n odd makes x^n - 1 squarefree mod 2, with one
+    irreducible factor per cyclotomic coset.
     """
     check_n(n, max_n)
     return [bpoly_to_poly(f) for f in _factor_mod2_masks(n)]

@@ -133,8 +133,8 @@ def test_check_all_verdicts_true_exits_zero(capsys):
 
 
 def test_check_reduces_the_spec_rows_once_for_both_checkers(capsys, monkeypatch):
-    # One Howell reduction builds the code and one sizes the spec; the
-    # reversible and rc checkers share the spec's cached size.
+    # One Howell reduction sizes the spec, and the code is walked from the
+    # same cached basis; the reversible and rc checkers share the size.
     reductions = []
     reduce = codes._howell_basis
     monkeypatch.setattr(
@@ -146,7 +146,7 @@ def test_check_reduces_the_spec_rows_once_for_both_checkers(capsys, monkeypatch)
     )
     assert code == 0
     assert "reverse_complement brute_force=yes" in out
-    assert reductions == [3, 3]
+    assert reductions == [3]
 
 
 def test_check_failing_verdict_exits_one(capsys):

@@ -1,6 +1,7 @@
 """Spec validation, code enumeration, and module-structure invariants."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,12 +14,12 @@ from dnacyclic.codes import (
     CodeSpec,
     EnumerationCapExceeded,
     SpecError,
+    _howell_basis,
     _ideal_rows,
     _z4_span,
     constant_word,
     decode_word,
     encode_word,
-    ideal_cardinality,
 )
 from dnacyclic.deletion import dna_code_report
 from dnacyclic.polynomials import PolyR, PolyZ4
@@ -313,13 +314,13 @@ def test_basis_size_matches_enumeration_and_an_independent_size():
     enumerated = 0
     for spec in specs:
         rows = _ideal_rows(spec.generator_words, spec.n)
-        size = ideal_cardinality(spec.generator_words, spec.n)
+        size = spec.cardinality
         assert size == z4_span_size(rows, spec.n), spec.describe()
         if size > cap:
             with pytest.raises(EnumerationCapExceeded):
                 Code.from_spec(spec, cap=cap)
             continue
-        span = _z4_span(rows, spec.n, cap)
+        span = _z4_span(spec.basis, spec.n)
         assert len(span) == len(set(span)) == size, spec.describe()
         enumerated += 1
     assert len(specs) == 15 + 65 + 65 + 315 + 315 + 3328
@@ -363,10 +364,11 @@ def packed_row_sets(draw):
 def test_span_matches_brute_force_closure(case):
     n, rows = case
     closure = brute_closure(rows, n)
-    span = _z4_span(rows, n, len(closure))
+    basis = _howell_basis(rows, n)
+    span = _z4_span(basis, n)
     assert len(span) == len(closure) and set(span) == closure
-    with pytest.raises(EnumerationCapExceeded):
-        _z4_span(rows, n, len(closure) - 1)
+    # The size that from_spec refuses the cap by, before any word is built.
+    assert math.prod(order for _, order in basis) == len(closure)
 
 
 # -- module structure ----------------------------------------------------------------

@@ -29,6 +29,11 @@ membership, and before the catalog analysed each distinct code once:
 ``catalog 9 --cap 16384 --json`` (the benchmark's catalog op), ``check`` of
 a 4,096-word n=7 code that is neither reversible nor rc-closed, and of a
 256-word n=9 code that is reversible but not rc-closed.
+The sixth group was recorded before x^n - 1 came to be split mod 2 by the
+cyclotomic-coset idempotents instead of through minimal polynomials over
+GF(2^m): ``factor N`` in both formats for the odd N <= 31 the third group
+leaves out, {5, 11, 13, 17, 19, 25, 27, 29}, which with it pins the factor
+order and the power-form text of every length the default bound accepts.
 
 A change that means to alter one of these outputs says so in CHANGES.md and
 re-records only that case.
@@ -105,6 +110,22 @@ FROZEN = [
     (["catalog", "9", "--cap", "16384", "--json"], 0, "cb1ef5e351da0a9af08c7d3cd9c3bbe98b057a514b83cef15234aecf43327de4"),
     (["check", "--n", "7", "--g1", "[1,1,3,2,1]", "--reversible", "--rc", "--gc", "--json"], 1, "b3827702c0c7dae88eae6496b0bf2ebb68d7e8105138f618871bf5f73a47e4d6"),
     (["check", "--n", "9", "--g1", "[3,1,0,3,1,0,3,1]", "--reversible", "--rc"], 1, "a1b8f762fa0ca53d188fd6a20cc9b1396ae2504f2c7a8038ba33c9ce7de4c9fb"),
+    (["factor", "5"], 0, "c8494b32c8c85ba9c60dd30388a65e90969ce34288873fa2c8e53eff68a13f5f"),
+    (["factor", "5", "--json"], 0, "e09bdac3eb1cdb1c9515d72d38511d4dac66e40ba473e763ea84a496436da446"),
+    (["factor", "11"], 0, "60bad368c37adfa881aa91f0b316c5384fb1f990426825486873b9e3be9c8854"),
+    (["factor", "11", "--json"], 0, "271dd58a4f2c3fde87e6cdfccd366b25c5e1e771b8892d41d48e1f6496d73fa3"),
+    (["factor", "13"], 0, "53f145468cff291115fffe3bef2304ef8058eb3ba51b7b87ab91205cb1773426"),
+    (["factor", "13", "--json"], 0, "cbd7e557efa5d57affda069b98e626573e0b343759c638271ecce376924f04af"),
+    (["factor", "17"], 0, "688e8449bd3a4f477122b5abbacfc801e9a684aef4c4761cd0864179bf153728"),
+    (["factor", "17", "--json"], 0, "d528f4687967101907dd28c76b4aaf4f83b8032f6c78567f621082a89fcb9ed5"),
+    (["factor", "19"], 0, "34cdd7a1769893ab8ab6b42673797e96cbb09e9e7a77e489dc99c0c715d7babb"),
+    (["factor", "19", "--json"], 0, "e8fb4c5c48421d0ee018b1ac292f4e80d84b602caa5c96190f523a05fca650ef"),
+    (["factor", "25"], 0, "ad3b40dc7003082dc7d5649371de210e18d053b5cb4a66d5796a46895c214eb6"),
+    (["factor", "25", "--json"], 0, "501d67139b52d5e6885c3ead0b66cb5b7e6c11a0fed9b3e23e4e7810ed984847"),
+    (["factor", "27"], 0, "a724ada2b4664a13e6ef911c23ccdfed254cada9d007a3804bc39d805b63d41e"),
+    (["factor", "27", "--json"], 0, "90cd31dac4292f68872af59d21df928cfd5bb7dda6cb7a1eb787f6db4fb997a6"),
+    (["factor", "29"], 0, "54d31759b32b1f7e934945d70232acc0fd572a4b7042d7bf991da45552c79221"),
+    (["factor", "29", "--json"], 0, "f05ed5a7e7079b3c594d4dba1a43cbcf9cf57ae11cb237f6726c525fb4cf4463"),
 ]
 
 

@@ -13,12 +13,10 @@ from dnacyclic.polynomials import (
     PolyR,
     PolyZ4,
     all_monic_divisors,
-    bpoly_is_irreducible,
     cyclotomic_cosets,
     factor_xn_minus_1_mod2,
     factor_xn_minus_1_z4,
     graeffe_lift,
-    multiplicative_order_of_two,
 )
 from dnacyclic.ring import ONE_PLUS_U, RingElement, U
 
@@ -197,15 +195,6 @@ def test_double_reciprocal_fixed_point():
 # -- factoring ----------------------------------------------------------------------
 
 
-def test_multiplicative_order_of_two():
-    assert multiplicative_order_of_two(1) == 1
-    assert multiplicative_order_of_two(3) == 2
-    assert multiplicative_order_of_two(5) == 4
-    assert multiplicative_order_of_two(7) == 3
-    assert multiplicative_order_of_two(9) == 6
-    assert multiplicative_order_of_two(15) == 4
-
-
 def test_cyclotomic_cosets_mod_9():
     # Orbits of multiplication by 2 mod 9, each sorted: {0}, {1,2,4,8,7,5}, {3,6}.
     assert cyclotomic_cosets(9) == [[0], [1, 2, 4, 5, 7, 8], [3, 6]]
@@ -237,13 +226,13 @@ def test_factor_products_reconstruct_xn_minus_1():
 
 
 def test_mod2_factors_are_irreducible_binary_polys():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
     for n in (3, 9, 15, 21):
         for f in factor_xn_minus_1_mod2(n):
-            mask = 0
-            for i, c in enumerate(f.coeffs):
-                if c % 2:
-                    mask |= 1 << i
-            assert bpoly_is_irreducible(mask)
+            assert set(f.coeffs) <= {0, 1}
+            expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+            assert sympy.Poly(expr, x, modulus=2).is_irreducible, (n, f)
 
 
 def test_z4_factors_are_monic_and_reduce_to_mod2_factors():
